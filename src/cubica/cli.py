@@ -34,11 +34,12 @@ def _fmt_scalar(v) -> str:
         return str(v)
     if isinstance(v, Fraction):
         return str(v)
+    # adding 0.0 turns -0.0 into 0.0, so a zero never prints as "-0"
     if isinstance(v, complex):
         if v.imag == 0:
-            return "%.12g" % v.real
-        return "%.12g%+.12gj" % (v.real, v.imag)
-    return "%.12g" % float(v)
+            return "%.12g" % (v.real + 0.0)
+        return "%.12g%+.12gj" % (v.real + 0.0, v.imag)
+    return "%.12g" % (float(v) + 0.0)
 
 
 def _clean_coord(v):

@@ -11,6 +11,7 @@ is always floating.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,12 +20,13 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
+    CubicaError,
     DegenerateForm,
     InvalidInput,
     SingularCurve,
 )
 from .projective import ProjLine, ProjMap, ProjPoint, _flat_proportional, proj_distance
-from .scalars import all_exact, is_exact, scalar_from_json, scalar_to_json
+from .scalars import all_exact, is_exact, poly_roots, scalar_from_json, scalar_to_json
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -375,37 +377,9 @@ def is_flex(form: CubicForm, p: ProjPoint, tol: float = 1e-6) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# elimination helpers
+# resultant elimination: _polydet, _sylvester_det and _ratio_candidates serve
+# singular_points only
 # ---------------------------------------------------------------------------
-
-# variable permutations used when the z-resultant degenerates; each entry
-# maps new exponents from old: sigma = (a, b, c) means the new variable
-# order is (old_a, old_b, old_c), i.e. we eliminate old_c.
-_ELIM_PERMS = ((0, 1, 2), (0, 2, 1), (2, 1, 0))
-
-
-def _permute_coeffs(coeffs, sigma):
-    out = [0] * 10
-    for (i, j, k), c in zip(MONOMIALS, coeffs):
-        exps = (i, j, k)
-        new = tuple(exps[sigma[n]] for n in range(3))
-        out[_MONO_INDEX[new]] = c
-    return tuple(out)
-
-
-def _permute_point(coords, sigma):
-    out = [0, 0, 0]
-    for n in range(3):
-        out[sigma[n]] = coords[n]
-    return tuple(out)
-
-
-def _z_split(coeffs):
-    """c[k][i]: coefficient of x^i y^(3-k-i) z^k, with y read as 1."""
-    out = [[0] * (4 - k) for k in range(4)]
-    for (i, j, k), v in zip(MONOMIALS, coeffs):
-        out[k][i] = out[k][i] + v
-    return out
 
 
 def _as_listpoly(seq):
@@ -477,19 +451,9 @@ def _ratio_candidates(res_poly, total_degree):
     return ratios
 
 
-def _eval_zcoeffs(zc, x0, y0):
-    """Univariate polynomial in z at fixed (x0, y0): descending coeffs."""
-    out = []
-    for k in range(3, -1, -1):
-        row = zc[k]
-        acc = 0j
-        d = len(row) - 1  # degree in x of this row
-        for i, c in enumerate(row):
-            if c == 0:
-                continue
-            acc += complex(c) * (x0 ** i) * (y0 ** (d - i))
-        out.append(acc)
-    return out  # [z^3, z^2, z^1, z^0]
+# ---------------------------------------------------------------------------
+# flexes: the four triangles of the pencil <F, H(F)>
+# ---------------------------------------------------------------------------
 
 
 def _solve2(a11, a12, a21, a22, b1, b2):
@@ -568,99 +532,134 @@ def _point_sort_key(p: ProjPoint):
     return tuple((round(c.real, 9) + 0.0, round(c.imag, 9) + 0.0) for c in n)
 
 
-def _true_zdeg(zc, top):
-    for k in range(3, -1, -1):
-        if any(abs(complex(v)) > 1e-12 * top for v in zc[k]):
-            return k
-    return -1
+# two points spanning a fixed general line.  It meets a triangle in three
+# points, one on each side, where the gradient of the triangle is that side.
+# The points are real, so the sides of a real triangle come out real.
+_SPLIT_LINE = ((1.0, 0.3183, -0.5772), (-0.2718, 1.0, 0.4142))
+
+# Sides real to this tolerance (after scaling their largest entry to 1) are
+# made real, so that a real triangle gives a real map.
+_REAL_SIDE_TOL = 1e-6
+
+# Nine polished points closer than this are not nine flexes.  Measured
+# nearest-pair distances: at least 8.3e-3 on 1800 curves of the bench's
+# exact workload (condition numbers up to 100), 2.0e-2 on 2400 of its reduce
+# curves and 0.29 on 300 random complex cubics.  On nodal and cuspidal forms
+# under 100 integer maps, exact or rounded to floats, the meets that polish
+# cluster at the singular point within 2.8e-4 of each other.
+_FLEX_SEPARATION = 1e-3
 
 
-def _flex_candidates_for_perm(f: CubicForm, h: CubicForm):
-    """Flex candidates for one choice of elimination variable.
+def _side(g):
+    """A line scaled to largest entry 1, with real entries when it is real."""
+    g = g / g[np.argmax(np.abs(g))]
+    real = np.abs(g.imag).max() <= _REAL_SIDE_TOL
+    return tuple(float(v.real) if real else complex(v) for v in g)
 
-    Returns None when the z-resultant degenerates for this orientation.
-    The Sylvester block uses the true z-degrees: the Hessian routinely
-    drops z-degree (e.g. a multiple of xyz).
+
+def _pencil_triangles(f: CubicForm, h: CubicForm):
+    """The triangles of the pencil <f, h>, where h is the Hessian of f, and
+    the nine flexes where their sides meet.
+
+    For a smooth f that is not itself a triangle the pencil has exactly four
+    singular members, each a triangle of inflection lines, and each flex
+    lies on one side of each triangle (Artebani & Dolgachev, "The Hesse
+    pencil of plane cubic curves", 2009, sections 1-2).  The Hessian maps
+    the pencil to itself, Hess(f + t h) = a(t) f + b(t) h with binary cubics
+    a and b, and the triangles are its fixed points: the roots of
+    t a(t) - b(t).  A root lost to a degree drop is the member h itself.
+
+    The meets of the sides of two triangles, polished by Newton on
+    f = h = 0, are the flexes; every side is then refit through the three
+    flexes nearest to it.  Returns (triangles, flexes), each triangle the
+    three rows of its sides, best conditioned first.
     """
-    fz = _z_split(f.coeffs)
-    hz = _z_split(h.coeffs)
-    df = _true_zdeg(fz, max(abs(complex(c)) for c in f.coeffs))
-    dh = _true_zdeg(hz, max(abs(complex(c)) for c in h.coeffs))
-    if df < 1 or dh < 1:
-        return None
-    res = _sylvester_det(fz[: df + 1], hz[: dh + 1], df, dh)
-    total = dh * (3 - df) + df * (3 - dh) + df * dh
-    ratios = _ratio_candidates(res, total)
-    if ratios is None:
-        return None
-    found = []
-    seeds = []
-    for (x0, y0) in ratios:
-        zc = _eval_zcoeffs(fz, x0, y0)
-        ztop = max(abs(c) for c in zc)
-        if ztop == 0.0:
+    fc = np.array(f.coeffs, dtype=complex)
+    hc = np.array(h.coeffs, dtype=complex)
+    # Hess(f + t h) at the fourth roots of unity; the inverse DFT of the
+    # samples gives the forms C_0..C_3 with Hess(f + t h) = sum C_i t^i
+    samples = [CubicForm(tuple(fc + t * hc)).hessian().coeffs for t in (1, 1j, -1, -1j)]
+    cs = np.fft.fft(np.array(samples, dtype=complex), axis=0) / 4
+    (a, b), _, _, sv = np.linalg.lstsq(np.column_stack((fc, hc)), cs.T, rcond=None)
+    if sv[1] <= 1e-9 * sv[0]:
+        raise ConvergenceFailure("the Hessian is proportional to the form")
+    roots = poly_roots((a[3], a[2] - b[3], a[1] - b[2], a[0] - b[1], -b[0]))
+    members = [(1, t) if abs(t) <= 1 else (1 / t, 1) for t in roots]
+    members += [(0, 1)] * (4 - len(roots))
+    p, q = (np.array(v) for v in _SPLIT_LINE)
+    split = []
+    for lam, mu in members:
+        tri = CubicForm(tuple(complex(v) for v in lam * fc + mu * hc))
+        c0, c1, c2, c3 = restrict_to_line(tri, ProjPoint(*p), ProjPoint(*q))
+        ss = poly_roots((c3, c2, c1, c0))
+        sides = np.array([tri.gradient(p + s * q) for s in ss] + [tri.gradient(q)] * (3 - len(ss)))
+        sides /= np.linalg.norm(sides, axis=1)[:, None]
+        cond = abs(np.linalg.det(sides))
+        if cond > 1e-9:
+            split.append((cond, sides))
+    split.sort(key=lambda t: -t[0])
+    # a split point near a vertex spoils its sides, so take the first pair
+    # of triangles whose nine meets polish to nine distinct flexes
+    for (_, s0), (_, s1) in itertools.combinations(split, 2):
+        found = [_polish_pair(f, h, c) for c in np.cross(s0[:, None], s1[None]).reshape(9, 3)]
+        if not all(r < 1e-8 for _, r in found):
             continue
-        lead = 0
-        while lead < 3 and abs(zc[lead]) <= 1e-12 * ztop:
-            lead += 1
-        poly = zc[lead:]
-        if len(poly) < 2:
-            continue
-        for z in np.roots(np.array(poly, dtype=complex)):
-            seeds.append((x0, y0, complex(z)))
-    # points on the coordinate axes can hide from a z-resultant when the
-    # leading z-coefficients degenerate there
-    seeds.extend(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    for raw in seeds:
-        top = max(abs(complex(c)) for c in raw)
-        coords = tuple(complex(c) / top for c in raw)
-        if abs(h.evaluate(coords)) > 1e-3 or abs(f.evaluate(coords)) > 1e-3:
-            continue
-        polished, r = _polish_pair(f, h, coords)
-        if r < 1e-8:
-            found.append((polished, r))
-    return found
+        found.sort(key=lambda t: _point_sort_key(ProjPoint(*t[0])))
+        pts = np.array([c for c, _ in found])
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        cos = np.abs(pts.conj() @ pts.T) - 2 * np.eye(9)
+        if np.sqrt(max(0.0, 1 - cos.max() ** 2)) > _FLEX_SEPARATION:
+            break
+    else:
+        raise ConvergenceFailure("no two triangles meet in nine distinct flexes")
+    flexes = FlexSet(
+        tuple(ProjPoint(*c).normalized() for c, _ in found), tuple(r for _, r in found)
+    )
+    # every side is the null vector of the three flexes nearest to it; a
+    # triangle whose sides do not share out the nine flexes is dropped
+    triangles = []
+    for _, sides in split:
+        near = np.argsort(np.abs(sides @ pts.T), axis=1)[:, :3]
+        if sorted(near.ravel()) == list(range(9)):
+            null = np.linalg.svd(pts[near])[2][:, -1].conj()
+            triangles.append(tuple(_side(g) for g in null))
+    return triangles, flexes
 
 
-def find_flexes(form: CubicForm) -> FlexSet:
-    """All nine flexes of a smooth cubic, as floating projective points.
+def _from_pencil_triangles(form: CubicForm, build):
+    """build(triangles, flexes) from _pencil_triangles on the form and its
+    Hessian, both scaled to unit largest coefficient.
 
-    Solved by eliminating z from the curve and its Hessian, with fallback
-    elimination variables when the leading coefficients degenerate.
+    Every failure of the construction ends in one verdict: SingularCurve
+    when singular_points finds the curve singular, ConvergenceFailure
+    otherwise.
     """
-    f0 = _complex_form(form)
-    h0 = _complex_form(f0.hessian())
-    last_error = None
-    for sigma in _ELIM_PERMS:
-        f = CubicForm(_permute_coeffs(f0.coeffs, sigma))
-        h = CubicForm(_permute_coeffs(h0.coeffs, sigma))
-        found = _flex_candidates_for_perm(f, h)
-        if found is None:
-            continue
-        # cluster candidates into distinct projective points
-        clusters: list[tuple[ProjPoint, float]] = []
-        for coords, r in sorted(found, key=lambda t: t[1]):
-            p = ProjPoint(*_permute_point(coords, sigma)).normalized()
-            if all(proj_distance(p, q) > 1e-6 for q, _ in clusters):
-                clusters.append((p, r))
-        if len(clusters) == 9:
-            clusters.sort(key=lambda t: _point_sort_key(t[0]))
-            return FlexSet(
-                tuple(p for p, _ in clusters), tuple(r for _, r in clusters)
-            )
-        last_error = ConvergenceFailure(
-            f"found {len(clusters)} distinct flexes, expected 9"
-        )
-    # distinguish a singular curve from a numerical failure
+    try:
+        # exact input gets its Hessian exactly: in floats, cancellation can
+        # cost an ill-conditioned form most of its digits
+        return build(*_pencil_triangles(_complex_form(form), _complex_form(form.hessian())))
+    except (CubicaError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        error = exc
     try:
         sing = singular_points(form)
     except DegenerateForm:
         raise SingularCurve("form has a repeated factor") from None
     if sing:
         raise SingularCurve(f"curve is singular at {sing[0]!r}")
-    raise last_error if last_error is not None else ConvergenceFailure(
-        "flex search failed in every elimination variable"
-    )
+    if isinstance(error, ConvergenceFailure):
+        raise error
+    raise ConvergenceFailure(f"triangle construction failed: {error!r}") from error
+
+
+def find_flexes(form: CubicForm) -> FlexSet:
+    """All nine flexes of a smooth cubic, as floating projective points.
+
+    The sides of two triangles of the pencil spanned by the curve and its
+    Hessian are inflection lines; each side of one meets each side of the
+    other in a flex, which Newton then polishes on the curve and its
+    Hessian (see _pencil_triangles).
+    """
+    return _from_pencil_triangles(form, lambda triangles, flexes: flexes)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .cubic import (
     CubicForm,
+    _from_pencil_triangles,
     _match_hesse_pattern,
     _point_sort_key,
     evaluate_grid,
@@ -28,20 +29,13 @@ from .errors import (
     OneComponent,
     SingularCurve,
 )
-from .hesse import (
-    _flex_group_add,
-    _generator_frame,
-    _incidence_third,
-    hesse_form,
-    real_parameters_for_j,
-)
+from .hesse import _pencil_map, _triangle_map, hesse_form, real_parameters_for_j
 from .march import implicit_curve, is_closed
 from .projective import (
     ProjLine,
     ProjMap,
     ProjPoint,
     _flat_proportional,
-    map_four_points,
 )
 from .scalars import is_exact, roots_cubic
 from .standard import StandardCurve, j_invariant, to_standard
@@ -206,68 +200,38 @@ _PERM_MAPS = (
 )
 
 
-def _realify_map(m: ProjMap) -> ProjMap:
-    flat = [complex(v) for r in m.rows for v in r]
-    pivot = max(flat, key=abs)
-    rows = []
-    worst = 0.0
-    for r in m.rows:
-        row = []
-        for v in r:
-            w = complex(v) / pivot
-            worst = max(worst, abs(w.imag))
-            row.append(w.real)
-        rows.append(tuple(row))
-    if worst > 1e-6:
-        raise ConvergenceFailure("symmetry candidate is not a real map")
-    return ProjMap(tuple(rows))
+def _real_triangle_map(form: CubicForm, triangles):
+    """The (A, image) pair of the triangle with three real sides."""
+    real = [s for s in triangles if all(isinstance(v, float) for r in s for v in r)]
+    m = _triangle_map(form, real[0]) if real else None
+    if m is None:
+        raise ConvergenceFailure("no triangle of the pencil has three real sides")
+    return m
 
 
 def real_automorphisms(form: CubicForm):
     """The six real projective maps preserving the curve: the permutation
-    group of the three real flexes."""
+    group of the three real flexes.
+
+    The one triangle of the pencil of the curve and its Hessian with three
+    real sides gives a real map A onto a real member of the Hesse pencil;
+    the maps are A^-1 P A for the six coordinate permutations P.
+    """
     form = _realify_form(form)
     hit = _match_hesse_pattern(form)
     if hit is not None and hit[0] == "finite" and not isinstance(hit[1], complex):
         return tuple(ProjMap(rows) for rows in _PERM_MAPS)
-    fs = find_flexes(form)
-    pts = list(fs.points)
-    third = _incidence_third(pts)
-    real_idx = sorted(
-        (i for i, p in enumerate(pts) if p.is_real(1e-6)),
-        key=lambda i: _point_sort_key(pts[i]),
-    )
-    if len(real_idx) != 3:
-        raise ConvergenceFailure("expected exactly 3 real flexes")
-    o, f, f2 = real_idx
-    addf, negf = _flex_group_add(third, o)
-    if addf(f, f) != f2:
-        f2, f = f, f2
-        if addf(f, f) != f2:
-            raise ConvergenceFailure("real flexes are not collinear")
-    u, v, w = _generator_frame(third, o)
-    frame = (o, u, v, w)
-    src = [pts[i] for i in frame]
-    out = []
-    gs = (o, f, addf(f, f))
-    for eps in (1, -1):
-        for g in gs:
-            if eps == 1 and g == o:
-                out.append(ProjMap.identity())
-                continue
 
-            def phi(i):
-                base = i if eps == 1 else negf(i)
-                return addf(base, g)
-
-            dst = [pts[phi(i)] for i in frame]
-            m = _realify_map(map_four_points(src, dst))
-            if not _flat_proportional(
-                transform(form, m).coeffs, form.coeffs, 1e-6
-            ):
+    def conjugate(triangles, flexes):
+        a = _pencil_map(form, triangles, _real_triangle_map)
+        inv = a.inverse()
+        maps = tuple(inv.compose(ProjMap(p)).compose(a) for p in _PERM_MAPS)
+        for m in maps:
+            if not _flat_proportional(transform(form, m).coeffs, form.coeffs, 1e-6):
                 raise ConvergenceFailure("candidate map does not preserve the curve")
-            out.append(m)
-    return tuple(out)
+        return maps
+
+    return _from_pencil_triangles(form, conjugate)
 
 
 # ---------------------------------------------------------------------------

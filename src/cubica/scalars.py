@@ -31,19 +31,6 @@ def all_exact(values) -> bool:
     return all(is_exact(v) for v in values)
 
 
-def to_complex(value) -> complex:
-    return complex(value)
-
-
-def exact_fraction(value):
-    """Coerce an exact scalar to Fraction (ints included)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise InvalidInput(f"not an exact scalar: {value!r}")
-
-
 def scalars_close(a, b, tol: float | None = None) -> bool:
     """Equality with relative tolerance; exact pairs compare exactly.
 

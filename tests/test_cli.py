@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cubica.cli import main
+from cubica.cli import _fmt_scalar, main
 from cubica.errors import ConvergenceFailure
 
 
@@ -106,6 +106,13 @@ def test_lattice_curve(capsys):
     data = json.loads(out)
     assert data["symmetry_order"] == 4
     assert abs(data["J"][0] - 1.0) < 1e-7
+
+
+def test_zero_prints_without_sign():
+    assert _fmt_scalar(-0.0) == "0"
+    assert _fmt_scalar(complex(-0.0, 0.0)) == "0"
+    assert _fmt_scalar(complex(-0.0, 2.0)) == "0+2j"
+    assert _fmt_scalar(-1.5) == "-1.5"
 
 
 def test_output_file(tmp_path, capsys):

@@ -20,6 +20,7 @@ from cubica.errors import (
     InvalidInput,
     SingularCurve,
 )
+from cubica.hesse import hesse_form, to_hesse
 from cubica.projective import ProjMap, ProjPoint, proj_distance
 
 # coefficient order: x^3, x^2 y, x^2 z, x y^2, x y z, x z^2, y^3, y^2 z, y z^2, z^3
@@ -95,6 +96,29 @@ def test_find_flexes_distinct():
 def test_find_flexes_singular_raises():
     with pytest.raises((SingularCurve, ConvergenceFailure)):
         find_flexes(NODAL)
+
+
+# integer maps for the singular forms below: the identity, a map under which
+# a z-resultant flex search finds nine spurious "flexes" on the cusp, and
+# the maps the hesse and real tests use
+SINGULAR_MAPS = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 2, 2), (-1, -3, -1), (-1, 3, -1)),
+    ((2, 1, 0), (0, 1, -1), (1, 0, 3)),
+    ((1, 1, 0), (0, 2, -1), (1, 0, 1)),
+    ((2, 0, 1), (0, 1, 1), (-1, 1, 0)),
+)
+
+
+@pytest.mark.parametrize("rows", SINGULAR_MAPS)
+@pytest.mark.parametrize("name", ["nodal", "cuspidal", "triangle k=1"])
+def test_singular_input_raises_singular_curve(name, rows):
+    curve = {"nodal": NODAL, "cuspidal": CUSPIDAL, "triangle k=1": hesse_form(1)}[name]
+    form = transform(curve, ProjMap(rows))
+    with pytest.raises(SingularCurve):
+        find_flexes(form)
+    with pytest.raises(SingularCurve):
+        to_hesse(form)
 
 
 def test_singular_points_nodal():

@@ -144,15 +144,15 @@ def test_real_parameters_always_two():
 
 
 def test_to_hesse_recovers_member():
-    k0 = 1.8
-    a = ProjMap(((2, 1, 0), (0, 1, -1), (1, 0, 3)))
-    moved = transform(hesse_form(k0), a)
-    k, m = to_hesse(moved)
-    assert abs(complex(j_of_k(k)) - complex(j_of_k(k0))) < 1e-7
     from cubica.projective import _flat_proportional
 
-    img = transform(moved, m)
-    assert _flat_proportional(img.coeffs, hesse_form(complex(k)).coeffs, 1e-6)
+    a = ProjMap(((2, 1, 0), (0, 1, -1), (1, 0, 3)))
+    for k0 in (1.8, 0.7 + 1.1j):
+        moved = transform(hesse_form(k0), a)
+        k, m = to_hesse(moved)
+        assert abs(complex(j_of_k(k)) - complex(j_of_k(k0))) < 1e-7
+        img = transform(moved, m)
+        assert _flat_proportional(img.coeffs, hesse_form(complex(k)).coeffs, 1e-6)
 
 
 def test_to_hesse_canonical_collapses_orbit():
@@ -171,3 +171,11 @@ def test_flexes_match_exceptional_points():
     exc = exceptional_points()
     for p in fs:
         assert min(proj_distance(p, e) for e in exc) < 1e-6
+    # off the pencil's own coordinates the flexes are the images of the
+    # base points, one each
+    a = ProjMap(((2, 1, 0), (0, 1, -1), (1, 0, 3)))
+    images = [apply_map(a, e) for e in exc]
+    for p in find_flexes(transform(hesse_form(0.7 + 1.1j), a)):
+        dist = [proj_distance(p, q) for q in images]
+        assert min(dist) < 1e-9
+        images.pop(dist.index(min(dist)))

@@ -79,11 +79,15 @@ def test_real_automorphisms_hesse():
 
 def test_real_automorphisms_transformed():
     m = ProjMap(((2, 0, 1), (0, 1, 1), (-1, 1, 0)))
-    f = transform(hesse_form(0), m)
-    maps = real_automorphisms(f)
-    assert len(maps) == 6
-    for a in maps:
-        assert _flat_proportional(transform(f, a).coeffs, f.coeffs, 1e-6)
+    # one component for k < 1, two for k > 1
+    for k in (0, -2, 2):
+        f = transform(hesse_form(k), m)
+        maps = real_automorphisms(f)
+        assert len(maps) == 6
+        for i, a in enumerate(maps):
+            assert all(complex(v).imag == 0 for row in a.rows for v in row)
+            assert _flat_proportional(transform(f, a).coeffs, f.coeffs, 1e-6)
+            assert all(a != b for b in maps[:i])
 
 
 def test_canonical_picture_two_components():
