@@ -344,6 +344,8 @@ def canonical_picture(k, window=(-3.2, 3.2, -3.2, 3.2), resolution=401) -> Canon
         k_draw = k
     else:
         k = float(k)
+        if math.isnan(k):
+            raise InvalidInput("picture parameter k is NaN")
         k_draw = k
         if abs(k - 1.0) < 1e-9:
             k_draw = 1.0 - _K_ONE_DELTA

@@ -16,7 +16,7 @@ from .errors import InvalidCanvas, InvalidInput
 from .hesse import hesse_form, j_of_k
 from .lattice import Lattice, reduced_basis, voronoi_cell
 from .march import implicit_curve, is_closed
-from .real_curves import canonical_picture
+from .real_curves import _clip_line_to_window, canonical_picture
 from .standard import StandardCurve, j_invariant, triangle_shape
 
 _SQRT3 = math.sqrt(3.0)
@@ -119,7 +119,9 @@ def _disk_coords(p3):
 
 
 def render_pencil(spec: RenderSpec) -> str:
-    ks = spec.payload.get("ks") or _PENCIL_DEFAULT_KS
+    ks = tuple(float(k) for k in spec.payload.get("ks") or _PENCIL_DEFAULT_KS)
+    if any(math.isnan(k) for k in ks):
+        raise InvalidInput("pencil parameter k is NaN")
     world = (-1.12, 1.12, -1.12, 1.12)
     to_px, scale = _mapper(world, spec.size)
     body = []
@@ -138,7 +140,7 @@ def render_pencil(spec: RenderSpec) -> str:
             'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="5,3"/>'
         )
     for idx, k in enumerate(ks):
-        form = hesse_form(float(k))
+        form = hesse_form(k)
         color = _PALETTE[idx % len(_PALETTE)]
         for poly in implicit_curve(_disk_field(form), world, _PENCIL_GRID):
             closed = is_closed(poly)
@@ -232,8 +234,6 @@ def render_canonical(spec: RenderSpec) -> str:
     to_px, _ = _mapper(win, spec.size)
     body = []
     for (u, v, w) in pic.asymptotes:
-        from .real_curves import _clip_line_to_window
-
         seg = _clip_line_to_window(u, v, w, win)
         if seg is None:
             continue

@@ -168,3 +168,22 @@ def test_exit_unknown_command(capsys):
 def test_missing_curve_source(capsys):
     code = main(["flexes"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("canonical-svg", "--k", "nan"),
+    ("pencil-svg", "--ks", "nan"),
+    ("pencil-svg", "--ks", "0.5,nan,2"),
+])
+def test_exit_nan_parameter(capsys, argv):
+    code = main(list(argv))
+    assert code == 2
+    assert "NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["inf", "-inf"])
+def test_canonical_infinite_parameter_is_triangle(capsys, k):
+    code, out = run(capsys, "canonical-svg", "--k", k)
+    assert code == 0
+    # the triangle member: three lines, drawn as branches and as asymptotes
+    assert out.count("<path") == 3 and out.count("<line") == 3

@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
-from cubica.march import implicit_curve, is_closed
+from cubica.hesse import hesse_form
+from cubica.march import implicit_curve, is_closed, marching_segments, stitch
+from cubica.render import _disk_field
 
 
 def test_circle_closes():
@@ -48,3 +51,129 @@ def test_empty_field():
     polys = implicit_curve(lambda x, y: x * 0 + y * 0 + 1.0,
                            (-1, 1, -1, 1), 51)
     assert polys == []
+
+
+# ---------------------------------------------------------------------------
+# the scalar marching loop and the chain-growing stitch, cell by cell, as a
+# second algorithm for the vectorised ones
+# ---------------------------------------------------------------------------
+
+
+def _scalar_key(p):
+    return (round(p[0], 9), round(p[1], 9))
+
+
+def _scalar_segments(xs, ys, vals):
+    vals = np.where(vals == 0.0, 1e-300, vals)
+    xs = [np.float64(x) for x in xs]
+    ys = [np.float64(y) for y in ys]
+    segs = []
+    for j in range(len(ys) - 1):
+        for i in range(len(xs) - 1):
+            v = (vals[j, i], vals[j, i + 1], vals[j + 1, i + 1], vals[j + 1, i])
+            if any(math.isnan(t) for t in v):
+                continue
+            code = sum(1 << n for n, t in enumerate(v) if t > 0.0)
+            if code in (0, 15):
+                continue
+            x0, x1 = xs[i], xs[i + 1]
+            y0, y1 = ys[j], ys[j + 1]
+            corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+            pts = {}
+            for n in range(4):
+                a, b = n, (n + 1) % 4
+                if (v[a] > 0.0) != (v[b] > 0.0):
+                    (xa, ya), (xb, yb) = corners[a], corners[b]
+                    t = v[a] / (v[a] - v[b])
+                    pts[n] = (xa + t * (xb - xa), ya + t * (yb - ya))
+
+            def emit(ea, eb):
+                if _scalar_key(pts[ea]) != _scalar_key(pts[eb]):
+                    segs.append((pts[ea], pts[eb]))
+
+            if len(pts) == 2:
+                ks = sorted(pts)
+                emit(ks[0], ks[1])
+            else:
+                center = (v[0] + v[1] + v[2] + v[3]) / 4.0
+                if (center > 0.0) == (v[0] > 0.0):
+                    emit(3, 0)
+                    emit(1, 2)
+                else:
+                    emit(0, 1)
+                    emit(2, 3)
+    return segs
+
+
+def _scalar_stitch(segs):
+    ends = {}
+    for idx, (a, b) in enumerate(segs):
+        ends.setdefault(_scalar_key(a), []).append(idx)
+        ends.setdefault(_scalar_key(b), []).append(idx)
+    used = [False] * len(segs)
+    polylines = []
+    for start in range(len(segs)):
+        if used[start]:
+            continue
+        used[start] = True
+        chain = list(segs[start])
+        for head in (False, True):
+            while True:
+                tip = chain[0] if head else chain[-1]
+                nxt = next((i for i in ends[_scalar_key(tip)] if not used[i]), None)
+                if nxt is None:
+                    break
+                used[nxt] = True
+                p, q = segs[nxt]
+                far = q if _scalar_key(p) == _scalar_key(tip) else p
+                if head:
+                    chain.insert(0, far)
+                else:
+                    chain.append(far)
+                if _scalar_key(chain[0]) == _scalar_key(chain[-1]) and len(chain) > 2:
+                    break
+            if _scalar_key(chain[0]) == _scalar_key(chain[-1]) and len(chain) > 2:
+                break
+        polylines.append(chain)
+    return polylines
+
+
+def _random_field(seed):
+    rng = np.random.default_rng(seed)
+    ny, nx = rng.integers(2, 41, size=2)
+    xs = np.sort(rng.uniform(-2.0, 2.0, nx))
+    ys = np.linspace(-1.0, 1.5, ny)
+    if seed % 2:
+        # exact zeros and many saddle cells
+        vals = rng.integers(-3, 4, size=(ny, nx)).astype(float)
+    else:
+        vals = rng.standard_normal((ny, nx))
+    if seed % 4 >= 2:
+        vals[rng.random((ny, nx)) < 0.1] = np.nan
+    return xs, ys, vals
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_matches_scalar_loop_on_random_fields(block):
+    for seed in range(50 * block, 50 * block + 50):
+        xs, ys, vals = _random_field(seed)
+        segs = marching_segments(xs, ys, vals)
+        expected = _scalar_segments(xs, ys, vals)
+        assert segs == expected, seed
+        assert stitch(segs) == _scalar_stitch(expected), seed
+
+
+def test_matches_scalar_loop_on_pencil_member():
+    # the one-component member k = -2 on the pencil figure's disk grid
+    window, resolution = (-1.12, 1.12, -1.12, 1.12), 512
+    xs = np.linspace(window[0], window[1], resolution)
+    ys = np.linspace(window[2], window[3], resolution)
+    vals = _disk_field(hesse_form(-2.0))(*np.meshgrid(xs, ys))
+    segs = marching_segments(xs, ys, vals)
+    expected = _scalar_segments(xs, ys, vals)
+    assert len(segs) > 500
+    assert segs == expected
+    polys = stitch(segs)
+    assert polys == _scalar_stitch(expected)
+    assert [is_closed(p) for p in polys] == [
+        len(p) > 2 and _scalar_key(p[0]) == _scalar_key(p[-1]) for p in polys]

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from cubica.errors import InvalidCanvas, InvalidInput, SingularCurve
@@ -80,3 +84,29 @@ def test_canonical_isolated_point_member():
 def test_custom_size_respected():
     svg = render(RenderSpec(kind="jgraph", size=(320, 200)))
     assert 'width="320" height="200"' in svg
+
+
+_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+
+
+def _reference_figures():
+    """(label, spec, sha256) of every figure the benchmark checks; the
+    hashes were recorded before the marching code was vectorised."""
+    out = []
+    for label, digest in json.loads(_REFERENCE.read_text())["figures"].items():
+        kind, rest = label.split(":", 1)
+        payload, size = rest.rsplit(":", 1)
+        payload = json.loads(payload)
+        if kind == "voronoi":
+            payload = {"lattice": Lattice.from_tau(complex(*payload["tau"]))}
+        w, h = (int(n) for n in size.split("x"))
+        out.append((label, RenderSpec(kind=kind, payload=payload, size=(w, h)), digest))
+    return out
+
+
+def test_figures_match_recorded_bytes():
+    figures = _reference_figures()
+    assert len(figures) == 39
+    wrong = [label for label, spec, digest in figures
+             if hashlib.sha256(render(spec).encode()).hexdigest() != digest]
+    assert wrong == []
