@@ -25,8 +25,8 @@ from .errors import (
     InvalidInput,
     SingularCurve,
 )
-from .projective import ProjLine, ProjMap, ProjPoint, _flat_proportional, proj_distance
-from .scalars import all_exact, is_exact, poly_roots, scalar_from_json, scalar_to_json
+from .projective import ProjLine, ProjMap, ProjPoint, _flat_proportional, _normalize, proj_distance
+from .scalars import all_exact, collapse, is_exact, poly_roots, scalar_from_json, scalar_to_json
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -198,24 +198,7 @@ class CubicForm:
 
     def normalized(self) -> "CubicForm":
         """Scale to a projective normal form (same convention as points)."""
-        if self.is_exact:
-            fracs = [Fraction(c) for c in self.coeffs]
-            den = math.lcm(*(f.denominator for f in fracs))
-            ints = [int(f * den) for f in fracs]
-            g = math.gcd(*ints)
-            ints = [v // g for v in ints]
-            lead = next(v for v in ints if v != 0)
-            if lead < 0:
-                ints = [-v for v in ints]
-            return CubicForm(tuple(ints))
-        cs = [complex(c) for c in self.coeffs]
-        pivot = max(range(10), key=lambda i: abs(cs[i]))
-        div = cs[pivot]
-        out = [c / div for c in cs]
-        out[pivot] = 1.0 + 0.0j
-        if all(v.imag == 0 for v in out):
-            out = [v.real for v in out]
-        return CubicForm(tuple(out))
+        return CubicForm(_normalize(self.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, CubicForm):
@@ -263,10 +246,18 @@ class CubicForm:
 def evaluate_grid(form: CubicForm, x, y, z):
     """Vectorized evaluation on numpy arrays (used by the renderers)."""
     acc = np.zeros(np.broadcast(x, y, z).shape)
-    for (i, j, k), c in zip(MONOMIALS, form.coeffs):
+    # v ** 0 and v ** 1 are 1.0 and v exactly; a square serves two
+    # monomials and is kept, a cube serves one and is not
+    powers = [[1.0, v, None] for v in (x, y, z)]
+    for m, c in zip(MONOMIALS, form.coeffs):
         if c == 0:
             continue
-        acc = acc + float(c) * (x ** i) * (y ** j) * (z ** k)
+        for p, n in zip(powers, m):
+            if n == 2 and p[2] is None:
+                p[2] = p[1] ** 2
+        px, py, pz = (p[1] ** 3 if n == 3 else p[n] for p, n in zip(powers, m))
+        # one product, whose temporaries numpy reuses in place
+        acc = acc + float(c) * px * py * pz
     return acc
 
 
@@ -463,33 +454,55 @@ def _solve2(a11, a12, a21, a22, b1, b2):
     return ((b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det)
 
 
-def _polish_pair(f: CubicForm, g: CubicForm, coords, iters: int = 16):
-    """Newton iteration for the 2-equation system f = g = 0 near coords."""
+def _hessian_det(c, point):
+    """det M of the matrix M of second partials of the form with
+    coefficients c at the point, and its gradient tr(adj M . M_i), where
+    M_i is the constant matrix of third partials f_{ab i}.
+
+    This is the Hessian form at the point, without expanding the Hessian's
+    coefficients, which lose digits to cancellation on an ill-conditioned
+    form.
+    """
+    x, y, z = point
+    xx = 6 * c[0] * x + 2 * c[1] * y + 2 * c[2] * z
+    xy = 2 * c[1] * x + 2 * c[3] * y + c[4] * z
+    xz = 2 * c[2] * x + c[4] * y + 2 * c[5] * z
+    yy = 2 * c[3] * x + 6 * c[6] * y + 2 * c[7] * z
+    yz = c[4] * x + 2 * c[7] * y + 2 * c[8] * z
+    zz = 2 * c[5] * x + 2 * c[8] * y + 6 * c[9] * z
+    axx, ayy, azz = yy * zz - yz * yz, xx * zz - xz * xz, xx * yy - xy * xy
+    axy, axz, ayz = xz * yz - xy * zz, xy * yz - xz * yy, xy * xz - xx * yz
+    det = xx * axx + xy * axy + xz * axz
+    gx = 6 * c[0] * axx + 2 * c[3] * ayy + 2 * c[5] * azz + 4 * c[1] * axy + 4 * c[2] * axz + 2 * c[4] * ayz
+    gy = 2 * c[1] * axx + 6 * c[6] * ayy + 2 * c[8] * azz + 4 * c[3] * axy + 2 * c[4] * axz + 4 * c[7] * ayz
+    gz = 2 * c[2] * axx + 2 * c[7] * ayy + 6 * c[9] * azz + 2 * c[4] * axy + 4 * c[5] * axz + 4 * c[8] * ayz
+    return det, (gx, gy, gz)
+
+
+def _polish_flex(f: CubicForm, h_scale: float, coords, iters: int = 16):
+    """Newton iteration for a flex near coords: f = 0 and det of the matrix
+    of second partials of f = 0, the latter divided by h_scale, the largest
+    coefficient of the Hessian form of f."""
     p = [complex(c) for c in coords]
     top = max(abs(c) for c in p)
     p = [c / top for c in p]
     pivot = max(range(3), key=lambda i: abs(p[i]))
     free = [i for i in range(3) if i != pivot]
-
-    def residual(q):
-        return max(abs(f.evaluate(q)), abs(g.evaluate(q)))
-
+    fv, (hv, gh) = f.evaluate(p), _hessian_det(f.coeffs, p)
     best = list(p)
-    best_r = residual(p)
+    best_r = max(abs(fv), abs(hv) / h_scale)
     stall = 0
     for _ in range(iters):
-        fv = f.evaluate(p)
-        gv = g.evaluate(p)
         gf = f.gradient(p)
-        gg = g.gradient(p)
         step = _solve2(
-            gf[free[0]], gf[free[1]], gg[free[0]], gg[free[1]], fv, gv
+            gf[free[0]], gf[free[1]], gh[free[0]], gh[free[1]], fv, hv
         )
         if step is None:
             break
         p[free[0]] -= step[0]
         p[free[1]] -= step[1]
-        r = residual(p)
+        fv, (hv, gh) = f.evaluate(p), _hessian_det(f.coeffs, p)
+        r = max(abs(fv), abs(hv) / h_scale)
         if r < best_r:
             best, best_r = list(p), r
             stall = 0
@@ -506,8 +519,10 @@ def _polish_pair(f: CubicForm, g: CubicForm, coords, iters: int = 16):
 class FlexSet:
     """The nine flexes of a smooth cubic, with polish residuals.
 
-    The residual of a flex is max(|form|, |hessian|) evaluated at the
-    normalized point, with both forms scaled to unit largest coefficient.
+    The residual of a flex is max(|f(p)|, |h(p)|) at the point p scaled to
+    largest coordinate 1, where f is the form and h its Hessian form, both
+    scaled to unit largest coefficient.  h(p) is evaluated as the
+    determinant of the second partials of f at p (see _hessian_det).
     """
 
     points: tuple
@@ -557,9 +572,10 @@ def _side(g):
     return tuple(float(v.real) if real else complex(v) for v in g)
 
 
-def _pencil_triangles(f: CubicForm, h: CubicForm):
-    """The triangles of the pencil <f, h>, where h is the Hessian of f, and
-    the nine flexes where their sides meet.
+def _pencil_triangles(form: CubicForm):
+    """The triangles of the pencil <f, h> spanned by the form f and its
+    Hessian h, each scaled to unit largest coefficient, and the nine
+    flexes where their sides meet.
 
     For a smooth f that is not itself a triangle the pencil has exactly four
     singular members, each a triangle of inflection lines, and each flex
@@ -569,13 +585,20 @@ def _pencil_triangles(f: CubicForm, h: CubicForm):
     a and b, and the triangles are its fixed points: the roots of
     t a(t) - b(t).  A root lost to a degree drop is the member h itself.
 
-    The meets of the sides of two triangles, polished by Newton on
-    f = h = 0, are the flexes; every side is then refit through the three
+    The meets of the sides of two triangles, polished by Newton on f = 0
+    and det of the matrix of second partials of f = 0 (_polish_flex), are
+    the flexes; every side is then refit through the three
     flexes nearest to it.  Returns (triangles, flexes), each triangle the
     three rows of its sides, best conditioned first.
     """
-    fc = np.array(f.coeffs, dtype=complex)
-    hc = np.array(h.coeffs, dtype=complex)
+    top = max(abs(complex(c)) for c in form.coeffs)
+    f = CubicForm(tuple(complex(c) / top for c in form.coeffs))
+    # exact input gets its Hessian exactly: in floats, cancellation can
+    # cost an ill-conditioned form most of its digits
+    hc = np.array([complex(c) for c in form.hessian().coeffs])
+    h_top = np.abs(hc).max()
+    h_scale = h_top / top ** 3  # the largest coefficient of the Hessian of f
+    fc, hc = np.array(f.coeffs), hc / h_top
     # Hess(f + t h) at the fourth roots of unity; the inverse DFT of the
     # samples gives the forms C_0..C_3 with Hess(f + t h) = sum C_i t^i
     samples = [CubicForm(tuple(fc + t * hc)).hessian().coeffs for t in (1, 1j, -1, -1j)]
@@ -601,7 +624,7 @@ def _pencil_triangles(f: CubicForm, h: CubicForm):
     # a split point near a vertex spoils its sides, so take the first pair
     # of triangles whose nine meets polish to nine distinct flexes
     for (_, s0), (_, s1) in itertools.combinations(split, 2):
-        found = [_polish_pair(f, h, c) for c in np.cross(s0[:, None], s1[None]).reshape(9, 3)]
+        found = [_polish_flex(f, h_scale, c) for c in np.cross(s0[:, None], s1[None]).reshape(9, 3)]
         if not all(r < 1e-8 for _, r in found):
             continue
         found.sort(key=lambda t: _point_sort_key(ProjPoint(*t[0])))
@@ -627,17 +650,14 @@ def _pencil_triangles(f: CubicForm, h: CubicForm):
 
 
 def _from_pencil_triangles(form: CubicForm, build):
-    """build(triangles, flexes) from _pencil_triangles on the form and its
-    Hessian, both scaled to unit largest coefficient.
+    """build(triangles, flexes) from _pencil_triangles on the form.
 
     Every failure of the construction ends in one verdict: SingularCurve
     when singular_points finds the curve singular, ConvergenceFailure
     otherwise.
     """
     try:
-        # exact input gets its Hessian exactly: in floats, cancellation can
-        # cost an ill-conditioned form most of its digits
-        return build(*_pencil_triangles(_complex_form(form), _complex_form(form.hessian())))
+        return build(*_pencil_triangles(form))
     except (CubicaError, ArithmeticError, np.linalg.LinAlgError) as exc:
         error = exc
     try:
@@ -656,8 +676,8 @@ def find_flexes(form: CubicForm) -> FlexSet:
 
     The sides of two triangles of the pencil spanned by the curve and its
     Hessian are inflection lines; each side of one meets each side of the
-    other in a flex, which Newton then polishes on the curve and its
-    Hessian (see _pencil_triangles).
+    other in a flex, which Newton then polishes on the curve and on the
+    determinant of its second partials at the point (see _polish_flex).
     """
     return _from_pencil_triangles(form, lambda triangles, flexes: flexes)
 
@@ -695,7 +715,7 @@ def _match_hesse_pattern(form: CubicForm):
         if not (c[0] == c[6] == c[9] != 0):
             return None
         k = -Fraction(c[4]) / (3 * Fraction(c[0]))
-        return ("finite", int(k) if k.denominator == 1 else k)
+        return ("finite", collapse(k))
     if any(zero(v) for v in cubes):
         return None
     if not all(abs(complex(v) - complex(c[0])) <= 1e-12 * top for v in cubes):
@@ -725,10 +745,7 @@ def _match_standard_pattern(form: CubicForm):
             return None
         a = Fraction(c[5]) / Fraction(s)
         b = Fraction(c[9]) / Fraction(s)
-        return (
-            int(a) if a.denominator == 1 else a,
-            int(b) if b.denominator == 1 else b,
-        )
+        return collapse(a), collapse(b)
     if abs(complex(c[7]) + complex(s)) > 1e-12 * top:
         return None
     a = complex(c[5]) / complex(s)

@@ -17,17 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cubic import (
-    MONOMIALS,
-    CubicForm,
-    _complex_form,
-    _from_pencil_triangles,
-    _pencil_triangles,
-    transform,
-)
+from .cubic import MONOMIALS, CubicForm, _from_pencil_triangles, transform
 from .errors import ConvergenceFailure, InvalidInput, SingularParameter
 from .projective import ProjMap, ProjPoint, _flat_proportional
-from .scalars import is_exact
+from .scalars import collapse, is_exact
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
@@ -134,7 +127,7 @@ def j_of_k(k):
         if u == 1:
             raise SingularParameter(f"k={k} gives a singular member")
         val = (kf * (u + 8) / (4 * (u - 1))) ** 3
-        return int(val) if val.denominator == 1 else val
+        return collapse(val)
     kc = complex(k)
     if abs(kc ** 3 - 1) <= 1e-9:
         raise SingularParameter(f"k={k} is within tolerance of a singular member")
@@ -152,7 +145,7 @@ def eta(k):
         if k == 1:
             return math.inf
         val = (Fraction(k) + 2) / (Fraction(k) - 1)
-        return int(val) if val.denominator == 1 else val
+        return collapse(val)
     kc = complex(k)
     if kc == 1:
         return math.inf
@@ -197,7 +190,7 @@ class MobiusMap:
             if den == 0:
                 return math.inf
             val = (Fraction(a) * kf + Fraction(b)) / den
-            return int(val) if val.denominator == 1 else val
+            return collapse(val)
         a, b, c, d = (complex(v) for v in self.entries)
         if _is_infinite(k):
             if abs(c) <= 1e-14 * max(abs(a), abs(d), 1.0):
@@ -394,21 +387,6 @@ def _triangle_map(form: CubicForm, sides):
     return a, CubicForm(image)
 
 
-def _pencil_map(form: CubicForm, triangles, pick) -> ProjMap:
-    """A map carrying form onto a member of the Hesse pencil, from the
-    (A, image) pair that pick(form, triangles) chooses.
-
-    The Hessian of an ill-conditioned form loses digits to cancellation,
-    which leaves the image up to 1e-6 off the pencil.  So the construction
-    runs once more on the image, which is near the pencil and well
-    conditioned, and the two maps compose.
-    """
-    a0, image = pick(form, triangles)
-    f, h = _complex_form(image), _complex_form(image.hessian())
-    a1, _ = pick(image, _pencil_triangles(f, h)[0])
-    return a1.compose(a0)
-
-
 def _closest_member(form: CubicForm, triangles):
     """The (A, image) pair of the triangle whose image is nearest the pencil."""
     maps = [m for m in (_triangle_map(form, s) for s in triangles) if m is not None]
@@ -432,13 +410,23 @@ def _pencil_parameter(form: CubicForm):
     return k, dev / top
 
 
+def _without_dust(k):
+    """k with a real or imaginary part below 1e-10 (1 + |k|), rounding left
+    by the reduction, set to zero; a float when no imaginary part is left."""
+    if _is_infinite(k):
+        return k
+    re, im = (v if abs(v) > 1e-10 * (1.0 + abs(k)) else 0.0 for v in (k.real, k.imag))
+    return complex(re, im) if im else re
+
+
 def to_hesse(form: CubicForm, canonical: bool = False):
     """Parameter k and invertible A with transform(form, A) = hesse_form(k)
     up to scale.
 
     Each triangle of the pencil spanned by the form and its Hessian gives
     such an A (see _triangle_map); the one whose image is closest to a
-    member of the pencil wins, refined by a second pass (_pencil_map).
+    member of the pencil wins.  Its sides pass through flexes polished on
+    the form itself (see cubic._polish_flex), so one pass is enough.
     Real cube roots keep a real triangle's map, and its k, real.
 
     With canonical=True, k is moved to its tetrahedral-orbit representative
@@ -446,7 +434,7 @@ def to_hesse(form: CubicForm, canonical: bool = False):
     """
 
     def into_pencil(triangles, flexes):
-        a = _pencil_map(form, triangles, _closest_member)
+        a = _closest_member(form, triangles)[0]
         k, dev = _pencil_parameter(transform(form, a))
         if dev > 1e-8:
             raise ConvergenceFailure(
@@ -455,8 +443,7 @@ def to_hesse(form: CubicForm, canonical: bool = False):
         return k, a
 
     k, a = _from_pencil_triangles(form, into_pencil)
-    if isinstance(k, complex) and abs(k.imag) <= 1e-10 * (1.0 + abs(k)):
-        k = k.real
+    k = _without_dust(k)
     if canonical:
         pairs = _tetrahedral_pairs()
         scored = []
@@ -469,6 +456,5 @@ def to_hesse(form: CubicForm, canonical: bool = False):
         scored.sort(key=lambda t: t[0])
         _, k, p = scored[0]
         a = p.compose(a)
-        if isinstance(k, complex) and abs(k.imag) <= 1e-10 * (1.0 + abs(k)):
-            k = k.real
+        k = _without_dust(k)
     return k, a

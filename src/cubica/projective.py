@@ -18,8 +18,9 @@ from .scalars import Scalar, all_exact, is_exact, scalar_from_json, scalar_to_js
 _DET_TOL = 1e-12
 
 
-def _normalize_triple(coords):
-    """Projective normal form of a coordinate triple."""
+def _normalize(coords):
+    """Projective normal form of a coordinate vector of any length (a
+    point, a line, a cubic form)."""
     if all(c == 0 for c in coords):
         raise InvalidInput("projective coordinates cannot all vanish")
     if all_exact(coords):
@@ -50,7 +51,7 @@ def _normalize_triple(coords):
 
 def _triples_equal(a, b, tol=None) -> bool:
     if all_exact(a) and all_exact(b):
-        return _normalize_triple(a) == _normalize_triple(b)
+        return _normalize(a) == _normalize(b)
     # proportionality via cross products; comparing normalized forms
     # elementwise would couple the answer to the pivot choice
     return _flat_proportional(a, b, tol if tol is not None else 1e-9)
@@ -77,13 +78,13 @@ class ProjPoint:
         return all_exact(self.coords)
 
     def normalized(self) -> "ProjPoint":
-        return ProjPoint(*_normalize_triple(self.coords))
+        return ProjPoint(*_normalize(self.coords))
 
     def to_complex(self) -> tuple[complex, complex, complex]:
         return tuple(complex(c) for c in self.coords)
 
     def is_real(self, tol: float = 1e-9) -> bool:
-        n = _normalize_triple(self.coords)
+        n = _normalize(self.coords)
         return all(abs(complex(c).imag) <= tol for c in n)
 
     def __eq__(self, other):
@@ -123,14 +124,14 @@ class ProjLine:
         return (self.u, self.v, self.w)
 
     def normalized(self) -> "ProjLine":
-        return ProjLine(*_normalize_triple(self.coeffs))
+        return ProjLine(*_normalize(self.coeffs))
 
     def contains(self, p: ProjPoint, tol: float | None = None) -> bool:
         val = sum(c * x for c, x in zip(self.coeffs, p.coords))
         if all_exact(self.coeffs) and p.is_exact:
             return val == 0
-        nl = _normalize_triple(self.coeffs)
-        np_ = _normalize_triple(p.coords)
+        nl = _normalize(self.coeffs)
+        np_ = _normalize(p.coords)
         v = sum(complex(c) * complex(x) for c, x in zip(nl, np_))
         return abs(v) <= (tol if tol is not None else 1e-9) * 3
 
@@ -164,8 +165,8 @@ def _cross(a, b):
 
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The unique line through two distinct points."""
-    a = _normalize_triple(p.coords)
-    b = _normalize_triple(q.coords)
+    a = _normalize(p.coords)
+    b = _normalize(q.coords)
     c = _cross(a, b)
     if all_exact(c):
         if all(v == 0 for v in c):
@@ -343,11 +344,6 @@ def _flat_proportional(a, b, tol=1e-9) -> bool:
         return False
     phase = ca[pivot] / cb[pivot]
     return all(abs(x - phase * y) <= tol * 4 for x, y in zip(ca, cb))
-
-
-def apply_map(a: ProjMap, p: ProjPoint) -> ProjPoint:
-    """Matrix-vector action of a projective map on a point, renormalized."""
-    return a.apply(p)
 
 
 def _solve3(rows, rhs):

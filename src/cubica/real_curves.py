@@ -29,7 +29,7 @@ from .errors import (
     OneComponent,
     SingularCurve,
 )
-from .hesse import _pencil_map, _triangle_map, hesse_form, real_parameters_for_j
+from .hesse import _triangle_map, hesse_form, real_parameters_for_j
 from .march import implicit_curve, is_closed
 from .projective import (
     ProjLine,
@@ -223,7 +223,7 @@ def real_automorphisms(form: CubicForm):
         return tuple(ProjMap(rows) for rows in _PERM_MAPS)
 
     def conjugate(triangles, flexes):
-        a = _pencil_map(form, triangles, _real_triangle_map)
+        a = _real_triangle_map(form, triangles)[0]
         inv = a.inverse()
         maps = tuple(inv.compose(ProjMap(p)).compose(a) for p in _PERM_MAPS)
         for m in maps:

@@ -46,6 +46,13 @@ def scalars_close(a, b, tol: float | None = None) -> bool:
     return abs(ca - cb) <= tol * scale
 
 
+def collapse(value):
+    """A Fraction with denominator 1 as an int; any other scalar unchanged."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return int(value)
+    return value
+
+
 def scalar_to_json(value):
     """Serialize: exact scalars as "p/q" strings, floating as [re, im]."""
     if isinstance(value, int):
@@ -69,7 +76,7 @@ def scalar_from_json(obj):
             f = Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"bad exact scalar {obj!r}") from exc
-        return int(f) if f.denominator == 1 else f
+        return collapse(f)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         re, im = obj
         if not all(isinstance(v, (int, float)) for v in (re, im)):

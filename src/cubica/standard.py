@@ -30,13 +30,7 @@ from .errors import (
     ZeroScale,
 )
 from .projective import ProjMap, ProjPoint
-from .scalars import all_exact, is_exact
-
-
-def _collapse(v):
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
+from .scalars import all_exact, collapse, is_exact
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,7 @@ def j_invariant(c: StandardCurve):
         den = 4 * Fraction(a) ** 3 + 27 * Fraction(b) ** 2
         if den == 0:
             raise SingularCurve("4a^3 + 27b^2 = 0")
-        return _collapse(4 * Fraction(a) ** 3 / den)
+        return collapse(4 * Fraction(a) ** 3 / den)
     a4 = 4 * complex(a) ** 3
     b27 = 27 * complex(b) ** 2
     den = a4 + b27
@@ -110,7 +104,7 @@ def rescale(c: StandardCurve, t) -> StandardCurve:
             raise ZeroScale("rescaling by t = 0")
     elif complex(t) == 0:
         raise ZeroScale("rescaling by t = 0")
-    return StandardCurve(_collapse(t ** 4 * c.a), _collapse(t ** 6 * c.b))
+    return StandardCurve(collapse(t ** 4 * c.a), collapse(t ** 6 * c.b))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +197,8 @@ def to_standard(form: CubicForm, flex: ProjPoint):
     if exact:
         if cs[7] != -lead or any(cs[i] != 0 for i in (1, 2, 3, 4, 6, 8)):
             raise ConvergenceFailure("reduction left non-standard terms")
-        a = _collapse(Fraction(cs[5]) / Fraction(lead))
-        b = _collapse(Fraction(cs[9]) / Fraction(lead))
+        a = collapse(Fraction(cs[5]) / Fraction(lead))
+        b = collapse(Fraction(cs[9]) / Fraction(lead))
     else:
         ctop = max(abs(complex(c)) for c in cs)
         stray = max(abs(complex(cs[i])) for i in (1, 2, 3, 4, 6, 8))

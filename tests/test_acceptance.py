@@ -38,7 +38,6 @@ from cubica.lattice import (
 from cubica.projective import (
     ProjMap,
     _flat_proportional,
-    apply_map,
     line_through,
     proj_distance,
 )
@@ -252,7 +251,7 @@ def test_criterion_08_automorphism_orders():
             img = []
             for p in fl:
                 cand = [i for i, w in enumerate(fl)
-                        if proj_distance(apply_map(m, p), w) < 1e-6]
+                        if proj_distance(m.apply(p), w) < 1e-6]
                 ok = ok and len(cand) == 1
                 img.append(cand[0] if cand else -1)
             perms.add(tuple(img))

@@ -115,6 +115,24 @@ def test_zero_prints_without_sign():
     assert _fmt_scalar(-1.5) == "-1.5"
 
 
+def test_flexes_readme_head(capsys):
+    code, out = run(capsys, "flexes", "--hesse", "2")
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "(0 : 1 : -1)",
+        "(0 : 1 : 0.5-0.866025403784j)",
+        "(0 : 1 : 0.5+0.866025403784j)",
+    ]
+
+
+def test_to_hesse_canonical_prints_exact_zero(capsys):
+    # README: y^2 = x^3 + 1 reduces to the Fermat member; rounding dust in
+    # k must not print
+    code, out = run(capsys, "to-hesse", "--standard", "0,1", "--canonical")
+    assert code == 0
+    assert out.strip() == "k = 0"
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.txt"
     code, _ = run(capsys, "hesse-j", "--k", "2", "-o", str(path))

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubica.cubic import (
+    MONOMIALS,
     CubicForm,
+    _hessian_det,
+    evaluate_grid,
     find_flexes,
     flex_defect,
     is_flex,
@@ -53,6 +57,43 @@ def test_hessian_fermat_frozen():
 def test_hessian_cuspidal_frozen():
     h = CUSPIDAL.hessian()
     assert h.as_dict() == {(1, 2, 0): -24}
+
+
+def test_hessian_det_is_hessian_form_pointwise():
+    # exact arithmetic: the pointwise determinant and its gradient equal the
+    # expanded Hessian form and its gradient
+    rng = random.Random(11)
+    for _ in range(30):
+        f = CubicForm(tuple(rng.randint(-5, 5) for _ in range(10)))
+        p = tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(3))
+        try:
+            h = f.hessian()
+        except DegenerateForm:
+            continue
+        assert _hessian_det(f.coeffs, p) == (h.evaluate(p), h.gradient(p))
+
+
+def test_evaluate_grid_matches_monomial_loop():
+    # the loop that recomputed every power per monomial, as the reference;
+    # computing each power once must not change a bit
+    def reference(form, x, y, z):
+        acc = np.zeros(np.broadcast(x, y, z).shape)
+        for (i, j, k), c in zip(MONOMIALS, form.coeffs):
+            if c == 0:
+                continue
+            acc = acc + float(c) * (x ** i) * (y ** j) * (z ** k)
+        return acc
+
+    rng = np.random.default_rng(5)
+    x, y, z = rng.normal(size=(3, 40, 30))
+    x[rng.random(x.shape) < 0.1] = np.nan
+    for _ in range(20):
+        cs = rng.normal(size=10) * (rng.random(10) < 0.7)
+        if not cs.any():
+            continue
+        form = CubicForm(tuple(float(c) for c in cs))
+        for args in ((x, y, z), (x, y, 1.0), (x[0], y[:, :1], 0.5)):
+            assert np.array_equal(evaluate_grid(form, *args), reference(form, *args), equal_nan=True)
 
 
 def test_hessian_transform_covariance():
@@ -183,6 +224,5 @@ def test_transform_moves_zero_set():
     a = ProjMap(((1, 1, 0), (0, 2, 1), (1, 0, 1)))
     g = transform(FERMAT, a)
     p = ProjPoint(0, 1, -1)
-    from cubica.projective import apply_map
 
-    assert abs(g.evaluate(apply_map(a, p).to_complex())) < 1e-12
+    assert abs(g.evaluate(a.apply(p).to_complex())) < 1e-12

@@ -7,7 +7,6 @@ from cubica.projective import (
     ProjLine,
     ProjMap,
     ProjPoint,
-    apply_map,
     line_through,
     map_four_points,
     meet,
@@ -69,7 +68,7 @@ def test_map_compose_inverse():
     m = ProjMap(((1, 2, 0), (0, 1, 5), (1, 0, 1)))
     ident = m.compose(m.inverse())
     p = ProjPoint(3, -1, 2)
-    assert apply_map(ident, p) == p
+    assert ident.apply(p) == p
 
 
 def test_singular_map_rejected():
@@ -84,7 +83,7 @@ def test_map_four_points():
            ProjPoint(1, 1, 1)]
     m = map_four_points(src, dst)
     for s, d in zip(src, dst):
-        assert apply_map(m, s) == d
+        assert m.apply(s) == d
 
 
 def test_map_four_points_degenerate():
@@ -102,5 +101,5 @@ def test_line_image_preserves_incidence():
     p, q = ProjPoint(1, 2, 1), ProjPoint(0, 1, 3)
     ln = line_through(p, q)
     img = m.line_image(ln)
-    assert img.contains(apply_map(m, p))
-    assert img.contains(apply_map(m, q))
+    assert img.contains(m.apply(p))
+    assert img.contains(m.apply(q))

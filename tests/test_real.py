@@ -5,7 +5,7 @@ import pytest
 from cubica.cubic import transform
 from cubica.errors import ComplexCoefficients, OneComponent, SingularCurve
 from cubica.hesse import hesse_form, j_of_k
-from cubica.projective import ProjMap, ProjPoint, _flat_proportional, apply_map, proj_distance
+from cubica.projective import ProjMap, ProjPoint, _flat_proportional, proj_distance
 from cubica.real_curves import (
     canonical_picture,
     classify_real,
@@ -69,7 +69,7 @@ def test_real_automorphisms_hesse():
         assert _flat_proportional(transform(f, m).coeffs, f.coeffs, 1e-8)
         img = []
         for p in fl:
-            q = apply_map(m, p)
+            q = m.apply(p)
             (idx,) = [i for i, w in enumerate(fl)
                       if proj_distance(q, w) < 1e-7]
             img.append(idx)
