@@ -35,51 +35,52 @@ MONOMIALS = (
 _MONO_INDEX = {m: i for i, m in enumerate(MONOMIALS)}
 
 # ---------------------------------------------------------------------------
-# small polynomial kernels: dicts {(i,j,k): coeff} for ternary work,
-# plain lists (index = degree) for univariate elimination work
+# dense polynomial kernel: a linear form is its 3 coefficients of x, y, z and
+# a cubic its 10 coefficients in MONOMIALS order; plain lists (index =
+# degree) serve univariate elimination work
 # ---------------------------------------------------------------------------
 
-
-def _pd_add(a, b):
-    out = dict(a)
-    for m, v in b.items():
-        w = out.get(m, 0) + v
-        if w == 0:
-            out.pop(m, None)
-        else:
-            out[m] = w
-    return out
-
-
-def _pd_mul(a, b):
-    out = {}
-    for (i1, j1, k1), v1 in a.items():
-        for (i2, j2, k2), v2 in b.items():
-            m = (i1 + i2, j1 + j2, k1 + k2)
-            w = out.get(m, 0) + v1 * v2
-            if w == 0:
-                out.pop(m, None)
-            else:
-                out[m] = w
-    return out
+# the variables of each monomial, x^2 y -> (0, 0, 1): MONOMIALS order for
+# cubics, x^2, xy, xz, y^2, yz, z^2 for quadratics
+_CUBIC = tuple(itertools.combinations_with_replacement(range(3), 3))
+_QUADRATIC = tuple(itertools.combinations_with_replacement(range(3), 2))
+# for each quadratic monomial, the pairs (a, b) with x_a x_b equal to it
+_PAIR_TERMS = tuple(tuple(sorted(set(itertools.permutations(m)))) for m in _QUADRATIC)
+# for each cubic monomial, the pairs (quadratic monomial, variable) whose
+# product it is
+_TIMES_TERMS = tuple(
+    tuple(sorted({(_QUADRATIC.index(m[:i] + m[i + 1:]), m[i]) for i in range(3)}))
+    for m in _CUBIC
+)
 
 
-def _pd_scale(a, s):
-    if s == 0:
-        return {}
-    return {m: s * v for m, v in a.items()}
+def _pair(u, v):
+    """The 6 coefficients of the quadratic (u.x)(v.x) of two linear forms."""
+    return [sum(u[a] * v[b] for a, b in terms if u[a] and v[b]) for terms in _PAIR_TERMS]
 
 
-def _pd_diff(a, var):
-    out = {}
-    for m, v in a.items():
-        e = m[var]
-        if e == 0:
-            continue
-        m2 = list(m)
-        m2[var] = e - 1
-        out[tuple(m2)] = out.get(tuple(m2), 0) + e * v
-    return out
+def _times(q, w):
+    """The 10 coefficients of the cubic q(x)(w.x), q a quadratic."""
+    return [sum(q[i] * w[t] for i, t in terms if q[i] and w[t]) for terms in _TIMES_TERMS]
+
+
+def _second_partials(c):
+    """f_xx, f_xy, f_xz, f_yy, f_yz, f_zz of the cubic with coefficients c,
+    each a linear form."""
+    return (
+        (6 * c[0], 2 * c[1], 2 * c[2]),
+        (2 * c[1], 2 * c[3], c[4]),
+        (2 * c[2], c[4], 2 * c[5]),
+        (2 * c[3], 6 * c[6], 2 * c[7]),
+        (c[4], 2 * c[7], 2 * c[8]),
+        (2 * c[5], 2 * c[8], 6 * c[9]),
+    )
+
+
+def _second_partials_at(c, point):
+    """The six second partials of _second_partials at the point."""
+    x, y, z = point
+    return tuple(u * x + v * y + w * z for u, v, w in _second_partials(c))
 
 
 def _ladd(a, b):
@@ -101,33 +102,6 @@ def _lmul(a, b):
                 continue
             out[i + j] = out[i + j] + x * y
     return out
-
-
-def _polydet(mat):
-    """Determinant of a small matrix of list-polynomials (None = zero)."""
-    n = len(mat)
-    prev = {0: [1]}
-    for k in range(n):
-        cur = {}
-        row = mat[k]
-        for mask, poly in prev.items():
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                ent = row[j]
-                if ent is None:
-                    continue
-                term = _lmul(poly, ent)
-                if bin(mask >> (j + 1)).count("1") & 1:
-                    term = [-c for c in term]
-                key = mask | bit
-                if key in cur:
-                    cur[key] = _ladd(cur[key], term)
-                else:
-                    cur[key] = term
-        prev = cur
-    return prev.get((1 << n) - 1, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +155,16 @@ class CubicForm:
 
     def hessian(self) -> "CubicForm":
         """Determinant of the matrix of second partials, again a cubic."""
-        d = self.as_dict()
-        firsts = [_pd_diff(d, v) for v in range(3)]
-        m = [[_pd_diff(firsts[a], b) for b in range(3)] for a in range(3)]
-        acc = {}
-        for sign, (p, q, r) in (
-            (1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1)),
-            (-1, (0, 2, 1)), (-1, (1, 0, 2)), (-1, (2, 1, 0)),
+        xx, xy, xz, yy, yz, zz = _second_partials(self.coeffs)
+        coeffs = [0] * 10
+        # cofactor expansion along the first row of the symmetric matrix
+        for lin, p, q in (
+            (xx, _pair(yy, zz), _pair(yz, yz)),
+            (xy, _pair(xz, yz), _pair(xy, zz)),
+            (xz, _pair(xy, yz), _pair(yy, xz)),
         ):
-            term = _pd_mul(_pd_mul(m[0][p], m[1][q]), m[2][r])
-            acc = _pd_add(acc, term if sign > 0 else _pd_scale(term, -1))
-        coeffs = tuple(acc.get(mon, 0) for mon in MONOMIALS)
+            minor = [u - v for u, v in zip(p, q)]
+            coeffs = [u + v for u, v in zip(coeffs, _times(minor, lin))]
         if all(c == 0 for c in coeffs):
             raise DegenerateForm("hessian vanishes identically")
         return CubicForm(coeffs)
@@ -273,23 +246,16 @@ def transform(form: CubicForm, a: ProjMap) -> CubicForm:
     Hessian change-of-coordinates law hold coefficient for coefficient.
     """
     b = a.inverse().rows
-    lin = [
-        {(1, 0, 0): b[r][0], (0, 1, 0): b[r][1], (0, 0, 1): b[r][2]}
-        for r in range(3)
-    ]
-    powers = []
-    for l in lin:
-        ps = [{(0, 0, 0): 1}, l]
-        ps.append(_pd_mul(ps[1], l))
-        ps.append(_pd_mul(ps[2], l))
-        powers.append(ps)
-    acc = {}
-    for (i, j, k), c in zip(MONOMIALS, form.coeffs):
-        if c == 0:
-            continue
-        term = _pd_mul(_pd_mul(powers[0][i], powers[1][j]), powers[2][k])
-        acc = _pd_add(acc, _pd_scale(term, c))
-    return CubicForm(tuple(acc.get(mon, 0) for mon in MONOMIALS))
+    c = dict(zip(_CUBIC, form.coeffs))
+    acc = [0] * 10
+    # form = sum over r <= s of x_r x_s (sum over t >= s of c_rst x_t), and
+    # x_r becomes b_r.x, b_r the rows of a^{-1}
+    for r, s in _QUADRATIC:
+        cs = [(c[r, s, t], b[t]) for t in range(s, 3) if c[r, s, t] != 0]
+        if cs:
+            lin = [sum(v * row[j] for v, row in cs) for j in range(3)]
+            acc = [u + v for u, v in zip(acc, _times(_pair(b[r], b[s]), lin))]
+    return CubicForm(acc)
 
 
 def restrict_to_line(form: CubicForm, p: ProjPoint, q: ProjPoint):
@@ -368,32 +334,21 @@ def is_flex(form: CubicForm, p: ProjPoint, tol: float = 1e-6) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# resultant elimination: _polydet, _sylvester_det and _ratio_candidates serve
+# resultant elimination: _resultant2 and _ratio_candidates serve
 # singular_points only
 # ---------------------------------------------------------------------------
 
 
-def _as_listpoly(seq):
-    return None if all(v == 0 for v in seq) else list(seq)
+def _resultant2(f, g):
+    """Resultant in z of f[2] z^2 + f[1] z + f[0] and g[2] z^2 + g[1] z +
+    g[0], whose coefficients are list-polys in x: (f2 g0 - f0 g2)^2 -
+    (f2 g1 - f1 g2)(f1 g0 - f0 g1)."""
 
+    def cross(i, j):
+        return _ladd(_lmul(f[i], g[j]), [-v for v in _lmul(f[j], g[i])])
 
-def _sylvester_det(f_cs, g_cs, nf, ng):
-    """Resultant in z of two polynomials with list-poly coefficients.
-
-    f_cs[j] is the coefficient of z^j (a list-poly in x), degree nf; same
-    for g.  Returns a list-poly in x.
-    """
-    n = nf + ng
-    mat = []
-    frow = [_as_listpoly(f_cs[j]) if f_cs[j] is not None else None for j in range(nf + 1)]
-    grow = [_as_listpoly(g_cs[j]) if g_cs[j] is not None else None for j in range(ng + 1)]
-    fdesc = list(reversed(frow))
-    gdesc = list(reversed(grow))
-    for i in range(ng):
-        mat.append([None] * i + fdesc + [None] * (ng - 1 - i))
-    for i in range(nf):
-        mat.append([None] * i + gdesc + [None] * (nf - 1 - i))
-    return _polydet(mat)
+    a = cross(2, 0)
+    return _ladd(_lmul(a, a), [-v for v in _lmul(cross(2, 1), cross(1, 0))])
 
 
 def _complex_form(form: CubicForm) -> CubicForm:
@@ -431,8 +386,7 @@ def _ratio_candidates(res_poly, total_degree):
     coeffs_desc = list(reversed(res_poly[: deg + 1]))
     ratios = []
     if deg > 0:
-        finite = np.roots(np.array(coeffs_desc, dtype=complex))
-        for t in _cluster_values([complex(r) for r in finite], 1e-7):
+        for t in _cluster_values(poly_roots(coeffs_desc), 1e-7):
             if abs(t) <= 1.0:
                 ratios.append((t, 1.0 + 0j))
             else:
@@ -463,13 +417,7 @@ def _hessian_det(c, point):
     coefficients, which lose digits to cancellation on an ill-conditioned
     form.
     """
-    x, y, z = point
-    xx = 6 * c[0] * x + 2 * c[1] * y + 2 * c[2] * z
-    xy = 2 * c[1] * x + 2 * c[3] * y + c[4] * z
-    xz = 2 * c[2] * x + c[4] * y + 2 * c[5] * z
-    yy = 2 * c[3] * x + 6 * c[6] * y + 2 * c[7] * z
-    yz = c[4] * x + 2 * c[7] * y + 2 * c[8] * z
-    zz = 2 * c[5] * x + 2 * c[8] * y + 6 * c[9] * z
+    xx, xy, xz, yy, yz, zz = _second_partials_at(c, point)
     axx, ayy, azz = yy * zz - yz * yz, xx * zz - xz * xz, xx * yy - xy * xy
     axy, axz, ayz = xz * yz - xy * zz, xy * yz - xz * yy, xy * xz - xx * yz
     det = xx * axx + xy * axy + xz * axz
@@ -789,8 +737,9 @@ def _hesse_singular_points(k):
     return pts
 
 
-def _gn_polish(partials, coords, iters=14):
-    """Gauss-Newton for the overdetermined gradient system (3 eqs, chart)."""
+def _gn_polish(form: CubicForm, coords, iters=14):
+    """Gauss-Newton for the overdetermined gradient system (3 eqs, chart);
+    its Jacobian is the matrix of second partials."""
     p = [complex(c) for c in coords]
     top = max(abs(c) for c in p)
     p = [c / top for c in p]
@@ -798,12 +747,13 @@ def _gn_polish(partials, coords, iters=14):
     free = [i for i in range(3) if i != pivot]
 
     def residual(q):
-        return max(abs(pf.evaluate(q)) for pf in partials)
+        return max(abs(v) for v in form.gradient(q))
 
     best, best_r = list(p), residual(p)
     for _ in range(iters):
-        vals = [pf.evaluate(p) for pf in partials]
-        grads = [pf.gradient(p) for pf in partials]
+        vals = form.gradient(p)
+        xx, xy, xz, yy, yz, zz = _second_partials_at(form.coeffs, p)
+        grads = ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz))
         # normal equations for the 3x2 complex Jacobian
         a11 = sum(g[free[0]].conjugate() * g[free[0]] for g in grads)
         a12 = sum(g[free[0]].conjugate() * g[free[1]] for g in grads)
@@ -824,42 +774,35 @@ def _gn_polish(partials, coords, iters=14):
     return tuple(best), best_r
 
 
-def _quadratic_forms(form: CubicForm):
-    """The three partial derivatives as 6-coefficient quadratic dicts."""
-    d = form.as_dict()
-    return [_pd_diff(d, v) for v in range(3)]
-
-
-def _quad_z_split(q):
-    out = [[0] * (3 - k) for k in range(3)]
-    for (i, j, k), v in q.items():
-        out[k][i] = out[k][i] + v
-    return out
-
-
 def _sheared_singular_candidates(form: CubicForm):
     """Common zeros of the gradient in (assumed generic) coordinates.
 
     Returns None when the elimination degenerates, meaning the gradient
     polynomials share a component in every tested pairing.
     """
-    parts = _quadratic_forms(form)
-    splits = [_quad_z_split(q) for q in parts]
+    c = form.coeffs
+    # f_x, f_y, f_z by powers of z: splits[a][k] is the coefficient of z^k,
+    # a list-poly in x (index = degree, y to the complementary degree)
+    splits = [
+        [[c[3], 2 * c[1], 3 * c[0]], [c[4], 2 * c[2]], [c[5]]],
+        [[3 * c[6], 2 * c[3], c[1]], [2 * c[7], c[4]], [c[8]]],
+        [[c[7], c[4], c[2]], [2 * c[8], 2 * c[5]], [3 * c[9]]],
+    ]
     leads = [abs(complex(s[2][0])) for s in splits]
     order = sorted(range(3), key=lambda i: -leads[i])
     if leads[order[1]] < 1e-10:
         return None
     ia, ib = order[0], order[1]
-    res = _sylvester_det(splits[ia], splits[ib], 2, 2)
+    res = _resultant2(splits[ia], splits[ib])
     # partials sharing a component give an identically-zero resultant;
     # under floating arithmetic that shows up as coefficients far below
     # the product of the input scales
     scales = []
     for idx in (ia, ib):
         scales.append(max(
-            (abs(complex(c)) for row in splits[idx] for c in row), default=0.0
+            (abs(complex(v)) for row in splits[idx] for v in row), default=0.0
         ))
-    res_top = max((abs(complex(c)) for c in res), default=0.0)
+    res_top = max((abs(complex(v)) for v in res), default=0.0)
     if res_top <= 1e-10 * (scales[0] * scales[1]) ** 2:
         return None
     ratios = _ratio_candidates(res, 4)
@@ -872,7 +815,7 @@ def _sheared_singular_candidates(form: CubicForm):
             row = splits[ia][k]
             d = len(row) - 1
             desc.append(
-                sum(complex(c) * x0 ** i * y0 ** (d - i) for i, c in enumerate(row))
+                sum(complex(v) * x0 ** i * y0 ** (d - i) for i, v in enumerate(row))
             )
         if abs(desc[0]) < 1e-12:
             # leading z^2 coefficient vanished at this ratio: fall back to
@@ -881,43 +824,15 @@ def _sheared_singular_candidates(form: CubicForm):
                 continue
             zs = [-desc[2] / desc[1]]
         else:
-            zs = [complex(z) for z in np.roots(np.array(desc, dtype=complex))]
+            zs = poly_roots(desc)
         for z in zs:
             coords = (x0, y0, z)
-            t = max(abs(c) for c in coords)
-            coords = tuple(c / t for c in coords)
-            vals = [
-                sum(
-                    complex(v) * coords[0] ** i * coords[1] ** j * coords[2] ** kk
-                    for (i, j, kk), v in parts[m].items()
-                )
-                for m in range(3)
-            ]
-            if max(abs(v) for v in vals) > 1e-4:
+            t = max(abs(v) for v in coords)
+            coords = tuple(v / t for v in coords)
+            if max(abs(v) for v in form.gradient(coords)) > 1e-4:
                 continue
             cands.append(coords)
     return cands
-
-
-class _PartialForm:
-    """Adapter exposing a quadratic dict through the evaluate/gradient API."""
-
-    def __init__(self, d):
-        self.d = d
-
-    def evaluate(self, p):
-        x, y, z = p
-        return sum(v * x ** i * y ** j * z ** k for (i, j, k), v in self.d.items())
-
-    def gradient(self, p):
-        return tuple(
-            self._eval(_pd_diff(self.d, var), p) for var in range(3)
-        )
-
-    @staticmethod
-    def _eval(d, p):
-        x, y, z = p
-        return sum(v * x ** i * y ** j * z ** k for (i, j, k), v in d.items())
 
 
 def singular_points(form: CubicForm) -> list[ProjPoint]:
@@ -954,7 +869,6 @@ def singular_points(form: CubicForm) -> list[ProjPoint]:
     f0 = _complex_form(form)
     degenerate_everywhere = True
     accepted: list[tuple[ProjPoint, float]] = []
-    parts0 = [_PartialForm(q) for q in _quadratic_forms(f0)]
     for shear in _SHEAR_MAPS:
         amap = ProjMap(shear)
         sheared = transform(f0, amap)
@@ -966,7 +880,7 @@ def singular_points(form: CubicForm) -> list[ProjPoint]:
         for coords in cands:
             # map back: singular(form) = A^{-1} singular(sheared)
             back = amap.inverse().apply(ProjPoint(*coords))
-            polished, r = _gn_polish(parts0, back.to_complex())
+            polished, r = _gn_polish(f0, back.to_complex())
             if r < 1e-8:
                 p = ProjPoint(*polished).normalized()
                 if all(proj_distance(p, q) > 1e-6 for q, _ in accepted):

@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cubic import MONOMIALS, CubicForm, _from_pencil_triangles, transform
 from .errors import ConvergenceFailure, InvalidInput, SingularParameter
 from .projective import ProjMap, ProjPoint, _flat_proportional
-from .scalars import collapse, is_exact
+from .scalars import collapse, is_exact, poly_roots
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
@@ -282,7 +280,7 @@ def _j_quartic_roots(j0: complex):
         512.0 - 192.0 * j0,
         64.0 * j0,
     ]
-    roots = np.roots(np.array(coeffs, dtype=complex))
+    roots = poly_roots(coeffs)
 
     def q(u):
         return u * (u + 8) ** 3 - 64 * j0 * (u - 1) ** 3
@@ -388,11 +386,12 @@ def _triangle_map(form: CubicForm, sides):
 
 
 def _closest_member(form: CubicForm, triangles):
-    """The (A, image) pair of the triangle whose image is nearest the pencil."""
+    """(A, k, residual) for the triangle whose image is nearest the pencil,
+    k and residual read from that image by _pencil_parameter."""
     maps = [m for m in (_triangle_map(form, s) for s in triangles) if m is not None]
     if not maps:
         raise ConvergenceFailure("no triangle of the pencil gives a map")
-    return min(maps, key=lambda m: _pencil_parameter(m[1])[1])
+    return min(((a,) + _pencil_parameter(image) for a, image in maps), key=lambda m: m[2])
 
 
 def _pencil_parameter(form: CubicForm):
@@ -434,8 +433,7 @@ def to_hesse(form: CubicForm, canonical: bool = False):
     """
 
     def into_pencil(triangles, flexes):
-        a = _closest_member(form, triangles)[0]
-        k, dev = _pencil_parameter(transform(form, a))
+        a, k, dev = _closest_member(form, triangles)
         if dev > 1e-8:
             raise ConvergenceFailure(
                 f"reduction into the pencil left residual {dev:.2e}"

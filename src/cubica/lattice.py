@@ -90,31 +90,6 @@ def eisenstein(lat: Lattice) -> tuple[complex, complex]:
     return g2, g3
 
 
-def eisenstein_direct(lat: Lattice, shells: int = 200) -> tuple[complex, complex]:
-    """Truncated lattice sums 60*S4 and 140*S6 over square shells.
-
-    Slowly convergent; kept as an independent check against the series
-    route, not used by anything downstream.
-    """
-    v1, v2 = reduced_basis(lat)
-    s4 = 0.0 + 0j
-    s6 = 0.0 + 0j
-    for s in range(1, shells + 1):
-        ring4 = 0.0 + 0j
-        ring6 = 0.0 + 0j
-        for m in range(-s, s + 1):
-            ns = (-s, s) if abs(m) != s else range(-s, s + 1)
-            for n in ns:
-                w = m * v1 + n * v2
-                w2 = w * w
-                w4 = w2 * w2
-                ring4 += 1.0 / w4
-                ring6 += 1.0 / (w4 * w2)
-        s4 += ring4
-        s6 += ring6
-    return 60.0 * s4, 140.0 * s6
-
-
 def lattice_to_curve(lat: Lattice) -> StandardCurve:
     """The standard curve with a = -g2/4, b = -g3/4."""
     g2, g3 = eisenstein(lat)

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cubic import (
     CubicForm,
     ConvergenceFailure,
@@ -30,7 +28,7 @@ from .errors import (
     ZeroScale,
 )
 from .projective import ProjMap, ProjPoint
-from .scalars import all_exact, collapse, is_exact
+from .scalars import all_exact, collapse, is_exact, roots_cubic
 
 
 @dataclass(frozen=True)
@@ -60,17 +58,7 @@ class StandardCurve:
 
     def roots(self):
         """Roots of x^3 + ax + b, sorted by (real, imaginary)."""
-        rs = np.roots(np.array([1.0, 0.0, complex(self.a), complex(self.b)], dtype=complex))
-        out = []
-        for r in rs:
-            x = complex(r)
-            # one Newton step against the exact coefficients
-            d = 3 * x * x + complex(self.a)
-            if abs(d) > 1e-12:
-                x = x - (x ** 3 + complex(self.a) * x + complex(self.b)) / d
-            out.append(x)
-        out.sort(key=lambda c: (c.real, c.imag))
-        return tuple(out)
+        return tuple(roots_cubic(1, 0, self.a, self.b))
 
     def to_json(self):
         from .scalars import scalar_to_json

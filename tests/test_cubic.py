@@ -23,6 +23,7 @@ from cubica.errors import (
     DegenerateForm,
     InvalidInput,
     SingularCurve,
+    SingularMap,
 )
 from cubica.hesse import hesse_form, to_hesse
 from cubica.projective import ProjMap, ProjPoint, proj_distance
@@ -96,21 +97,28 @@ def test_evaluate_grid_matches_monomial_loop():
             assert np.array_equal(evaluate_grid(form, *args), reference(form, *args), equal_nan=True)
 
 
+def _random_forms_and_maps(n=20, seed=15):
+    """Seeded random integer forms and invertible integer maps."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < n:
+        f = CubicForm(tuple(rng.randint(-6, 6) for _ in range(10)))
+        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(3))
+        try:
+            pairs.append((f, ProjMap(rows)))
+        except SingularMap:
+            pass
+    return pairs
+
+
 def test_hessian_transform_covariance():
-    # hessian(transform(f, A)) = det(A)^-2 transform(hessian(f), A) up to
-    # the shared convention; check the exact coefficient ratio on det 7
-    f = CubicForm((1, 2, 0, -1, 3, 0, 1, 0, 2, -3))
-    a = ProjMap(((1, 2, 0), (0, 1, 3), (0, 0, 7)))
-    lhs = transform(f, a).hessian()
-    rhs = transform(f.hessian(), a)
-    ratios = {
-        Fraction(l) / Fraction(r)
-        for l, r in zip(lhs.coeffs, rhs.coeffs)
-        if r != 0 or l != 0
-    }
-    assert len(ratios) == 1
-    (ratio,) = ratios
-    assert ratio == Fraction(1, 49) or ratio == 49
+    # hessian(transform(f, A)) = det(A)^-2 transform(hessian(f), A),
+    # coefficient for coefficient: first on det 7, then on random input
+    pairs = [(CubicForm((1, 2, 0, -1, 3, 0, 1, 0, 2, -3)), ProjMap(((1, 2, 0), (0, 1, 3), (0, 0, 7))))]
+    for f, a in pairs + _random_forms_and_maps():
+        lhs = transform(f, a).hessian()
+        rhs = transform(f.hessian(), a)
+        assert lhs.coeffs == tuple(Fraction(c, a.det() ** 2) for c in rhs.coeffs)
 
 
 def test_find_flexes_fermat():
@@ -226,3 +234,28 @@ def test_transform_moves_zero_set():
     p = ProjPoint(0, 1, -1)
 
     assert abs(g.evaluate(a.apply(p).to_complex())) < 1e-12
+
+
+def _matvec(rows, p):
+    return tuple(sum(r * v for r, v in zip(row, p)) for row in rows)
+
+
+def test_transform_exact_pointwise_and_composition():
+    rng = random.Random(7)
+    pairs = _random_forms_and_maps()
+    for (f, a), (_, b) in zip(pairs, pairs[1:] + pairs[:1]):
+        g = transform(f, a)
+        assert g.is_exact
+        # g = f o A^-1 exactly, so g(A p) = f(p) at integer points
+        for _ in range(12):
+            p = tuple(rng.randint(-9, 9) for _ in range(3))
+            assert g.evaluate(_matvec(a.rows, p)) == f.evaluate(p)
+        # transforming by A then B is transforming by B o A
+        assert transform(g, b).coeffs == transform(f, b.compose(a)).coeffs
+        # the float copy of the input agrees to rounding
+        gf = transform(
+            CubicForm(tuple(float(c) for c in f.coeffs)),
+            ProjMap(tuple(tuple(float(v) for v in row) for row in a.rows)),
+        )
+        top = max(abs(c) for c in g.coeffs)
+        assert max(abs(x - float(y)) for x, y in zip(gf.coeffs, g.coeffs)) <= 1e-12 * top
