@@ -25,8 +25,10 @@ from .errors import (
     InvalidInput,
     SingularCurve,
 )
-from .projective import ProjLine, ProjMap, ProjPoint, _flat_proportional, _normalize, proj_distance
-from .scalars import all_exact, collapse, is_exact, poly_roots, scalar_from_json, scalar_to_json
+from .projective import (
+    ProjLine, ProjMap, ProjPoint, _flat_proportional, _integer_adjugate, _normalize, proj_distance,
+)
+from .scalars import _integral, all_exact, collapse, is_exact, poly_roots, scalar_from_json, scalar_to_json
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -154,8 +156,13 @@ class CubicForm:
         return (gx, gy, gz)
 
     def hessian(self) -> "CubicForm":
-        """Determinant of the matrix of second partials, again a cubic."""
-        xx, xy, xz, yy, yz, zz = _second_partials(self.coeffs)
+        """Determinant of the matrix of second partials, again a cubic.
+
+        An exact form ints / den, ints its integer representative, expands
+        in ints and divides by den^3 once at the end.
+        """
+        cs, den = _integral(self.coeffs) if self.is_exact else (self.coeffs, 1)
+        xx, xy, xz, yy, yz, zz = _second_partials(cs)
         coeffs = [0] * 10
         # cofactor expansion along the first row of the symmetric matrix
         for lin, p, q in (
@@ -167,6 +174,8 @@ class CubicForm:
             coeffs = [u + v for u, v in zip(coeffs, _times(minor, lin))]
         if all(c == 0 for c in coeffs):
             raise DegenerateForm("hessian vanishes identically")
+        if den != 1:
+            coeffs = [Fraction(c, den ** 3) for c in coeffs]
         return CubicForm(coeffs)
 
     def normalized(self) -> "CubicForm":
@@ -239,23 +248,35 @@ def evaluate_grid(form: CubicForm, x, y, z):
 # ---------------------------------------------------------------------------
 
 
-def transform(form: CubicForm, a: ProjMap) -> CubicForm:
-    """The form in new coordinates: returns literally form o a^{-1}.
-
-    No renormalization is applied, so scalar identities such as the
-    Hessian change-of-coordinates law hold coefficient for coefficient.
-    """
-    b = a.inverse().rows
-    c = dict(zip(_CUBIC, form.coeffs))
+def _substitute(coeffs, b):
+    """The 10 coefficients of the cubic with coefficients coeffs composed
+    with the matrix b: x_r becomes b_r.x, b_r the rows of b."""
+    c = dict(zip(_CUBIC, coeffs))
     acc = [0] * 10
-    # form = sum over r <= s of x_r x_s (sum over t >= s of c_rst x_t), and
-    # x_r becomes b_r.x, b_r the rows of a^{-1}
+    # form = sum over r <= s of x_r x_s (sum over t >= s of c_rst x_t)
     for r, s in _QUADRATIC:
         cs = [(c[r, s, t], b[t]) for t in range(s, 3) if c[r, s, t] != 0]
         if cs:
             lin = [sum(v * row[j] for v, row in cs) for j in range(3)]
             acc = [u + v for u, v in zip(acc, _times(_pair(b[r], b[s]), lin))]
-    return CubicForm(acc)
+    return acc
+
+
+def transform(form: CubicForm, a: ProjMap) -> CubicForm:
+    """The form in new coordinates: returns literally form o a^{-1}.
+
+    No renormalization is applied, so scalar identities such as the
+    Hessian change-of-coordinates law hold coefficient for coefficient.
+    On exact input, with form = ints / den and a = m / mden for integer
+    ints and m, the rows of adj(m) = det(m) m^{-1} are substituted in ints
+    and the result divided once: (ints o adj(m)) mden^3 / (den det(m)^3).
+    """
+    if form.is_exact and a.is_exact:
+        ints, den = _integral(form.coeffs)
+        adj, d, mden = _integer_adjugate(a.rows)
+        num, dd = mden ** 3, den * d ** 3
+        return CubicForm(tuple(Fraction(c * num, dd) for c in _substitute(ints, adj)))
+    return CubicForm(_substitute(form.coeffs, a.inverse().rows))
 
 
 def restrict_to_line(form: CubicForm, p: ProjPoint, q: ProjPoint):

@@ -27,7 +27,7 @@ from .errors import (
     SingularCurve,
 )
 from .projective import ProjPoint
-from .scalars import is_exact
+from .scalars import _integral
 
 _MEMBER_TOL = 1e-9
 
@@ -103,6 +103,15 @@ def chord_tangent(p: CurvePoint, q: CurvePoint) -> CurvePoint:
     _same_curve(p, q)
     form = p.curve
     exact = p.is_exact and q.is_exact
+    if exact:
+        # the third point does not depend on the scale of the form
+        form = CubicForm(_integral(form.coeffs)[0])
+
+    def vanished(u, v):
+        if exact:
+            return u == 0 and v == 0
+        return max(abs(complex(u)), abs(complex(v))) <= 1e-14 * _coeff_scale(form)
+
     if p.point == q.point:
         line = tangent_line(form, p.point)
         if line is None:
@@ -111,20 +120,20 @@ def chord_tangent(p: CurvePoint, q: CurvePoint) -> CurvePoint:
         cs = restrict_to_line(form, p.point, d)
         # c1 = 0 by construction of d, so c(s,t) = t^2 (c2 s + c3 t)
         c2, c3 = cs[2], cs[3]
-        if max(abs(complex(c2)), abs(complex(c3))) <= 1e-14 * _coeff_scale(form):
+        if vanished(c2, c3):
             raise ConvergenceFailure("tangent restriction vanished")
         third = tuple(c3 * a - c2 * b for a, b in zip(p.point.coords, d.coords))
     else:
         cs = restrict_to_line(form, p.point, q.point)
         # c0 and c3 vanish (membership), leaving st(c1 s + c2 t)
         c1, c2 = cs[1], cs[2]
-        if max(abs(complex(c1)), abs(complex(c2))) <= 1e-14 * _coeff_scale(form):
+        if vanished(c1, c2):
             raise ConvergenceFailure("chord restriction vanished")
         third = tuple(c2 * a - c1 * b for a, b in zip(p.point.coords, q.point.coords))
     if all((c == 0 if exact else abs(complex(c)) < 1e-300) for c in third):
         raise ConvergenceFailure("third intersection is indeterminate")
     pt = ProjPoint(*third) if exact else _project_to_curve(form, third)
-    return CurvePoint(form, pt)
+    return CurvePoint(p.curve, pt)
 
 
 class BasedGroup:

@@ -387,7 +387,11 @@ def _triangle_map(form: CubicForm, sides):
 
 def _closest_member(form: CubicForm, triangles):
     """(A, k, residual) for the triangle whose image is nearest the pencil,
-    k and residual read from that image by _pencil_parameter."""
+    k and residual read from that image by _pencil_parameter.  The sides
+    are floats, so an exact form turns into floats once, as Python's mixed
+    arithmetic would turn each coefficient at every use."""
+    if form.is_exact:
+        form = CubicForm(tuple(float(c) for c in form.coeffs))
     maps = [m for m in (_triangle_map(form, s) for s in triangles) if m is not None]
     if not maps:
         raise ConvergenceFailure("no triangle of the pencil gives a map")

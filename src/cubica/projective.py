@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoincidentPoints, InvalidInput, SingularMap
-from .scalars import Scalar, all_exact, is_exact, scalar_from_json, scalar_to_json, scalars_close
+from .scalars import Scalar, _integral, all_exact, scalar_from_json, scalar_to_json
 
 _DET_TOL = 1e-12
 
@@ -24,9 +24,7 @@ def _normalize(coords):
     if all(c == 0 for c in coords):
         raise InvalidInput("projective coordinates cannot all vanish")
     if all_exact(coords):
-        fracs = [Fraction(c) for c in coords]
-        den = math.lcm(*(f.denominator for f in fracs))
-        ints = [int(f * den) for f in fracs]
+        ints, _ = _integral(coords)
         g = math.gcd(*ints)
         ints = [v // g for v in ints]
         lead = next(v for v in ints if v != 0)
@@ -190,15 +188,24 @@ def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     return ProjPoint(*c)
 
 
+def _unit_complex(coords):
+    """The triple as complex floats, an exact one divided by its largest
+    entry first."""
+    if all_exact(coords):
+        top = max(abs(c) for c in coords)
+        return tuple(complex(Fraction(c) / top) for c in coords)
+    return tuple(complex(c) for c in coords)
+
+
 def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
     """Scale-invariant distance: the sine of the Fubini-Study angle.
 
     Computed as the norm of b orthogonalized against a, which stays
     accurate down to distances near machine epsilon; 1 - cos^2 would
-    bottom out around 1e-8.
+    bottom out around 1e-8.  Exact triples of any height convert without
+    overflow (see _unit_complex).
     """
-    a = p.to_complex()
-    b = q.to_complex()
+    a, b = (_unit_complex(t.coords) for t in (p, q))
     na = math.sqrt(sum(abs(c) ** 2 for c in a))
     nb = math.sqrt(sum(abs(c) ** 2 for c in b))
     a = tuple(c / na for c in a)
@@ -220,6 +227,14 @@ def _adjugate(rows):
         (f * g - d * i, a * i - c * g, c * d - a * f),
         (d * h - e * g, b * g - a * h, a * e - b * d),
     )
+
+
+def _integer_adjugate(rows):
+    """(adj(m), det(m), mden) for exact rows == m / mden, m a matrix of
+    ints."""
+    flat, mden = _integral([v for r in rows for v in r])
+    m = (flat[0:3], flat[3:6], flat[6:9])
+    return _adjugate(m), _det3(m), mden
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,12 +284,14 @@ class ProjMap:
         return _det3(self.rows)
 
     def inverse(self) -> "ProjMap":
-        d = _det3(self.rows)
-        adj = _adjugate(self.rows)
+        """The inverse matrix, literally.  An exact map m / mden, m its
+        integer representative, inverts as mden adj(m) / det(m): one
+        division per entry after integer arithmetic."""
         if self.is_exact:
-            dd = Fraction(d)
-            return ProjMap(tuple(tuple(Fraction(v) / dd for v in r) for r in adj))
-        return ProjMap(tuple(tuple(v / d for v in r) for r in adj))
+            adj, d, mden = _integer_adjugate(self.rows)
+            return ProjMap(tuple(tuple(Fraction(mden * v, d) for v in r) for r in adj))
+        d = _det3(self.rows)
+        return ProjMap(tuple(tuple(v / d for v in r) for r in _adjugate(self.rows)))
 
     def compose(self, other: "ProjMap") -> "ProjMap":
         """self after other: (self.compose(other))(p) == self(other(p))."""

@@ -8,6 +8,7 @@ positive denominator, which is exactly the normal form we want.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,13 @@ def scalars_close(a, b, tol: float | None = None) -> bool:
     ca, cb = complex(a), complex(b)
     scale = max(1.0, abs(ca), abs(cb))
     return abs(ca - cb) <= tol * scale
+
+
+def _integral(values):
+    """(ints, den) with values == ints / den, den the least common
+    denominator of the exact values."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def collapse(value):

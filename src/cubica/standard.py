@@ -8,7 +8,6 @@ stays in exact arithmetic; no root extraction is needed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,19 +15,18 @@ from .cubic import (
     CubicForm,
     ConvergenceFailure,
     _line_second_point,
+    _substitute,
     flex_defect,
     tangent_line,
-    transform,
 )
 from .errors import (
-    InvalidInput,
     NotAFlex,
     SingularAtFlex,
     SingularCurve,
     ZeroScale,
 )
-from .projective import ProjMap, ProjPoint
-from .scalars import all_exact, collapse, is_exact, roots_cubic
+from .projective import ProjMap, ProjPoint, _normalize
+from .scalars import _integral, all_exact, collapse, is_exact, roots_cubic
 
 
 @dataclass(frozen=True)
@@ -126,6 +124,11 @@ def to_standard(form: CubicForm, flex: ProjPoint):
     Returns (StandardCurve, A) with transform(form, A) proportional to
     the standard-form cubic.  Exact input (rational coefficients, rational
     flex) produces exact (a, b) and an exact map.
+
+    Each step substitutes a scale-free map, such as diag(-h, -h, g) for
+    diag(-h/g, -h/g, 1), into psi kept up to scale by _normalize (coprime
+    ints on exact input).  A is still literally the inverse of the product
+    of the divided maps.
     """
     p = flex.normalized()
     line = tangent_line(form, p)
@@ -139,10 +142,13 @@ def to_standard(form: CubicForm, flex: ProjPoint):
     c0, c1 = t_pt.coords, p.coords
     c2 = _third_basis_column(c0, c1)
     m = ProjMap.from_columns(c0, c1, c2)
+    exact = form.is_exact and p.is_exact
+
+    def substitute(psi, rows):
+        return CubicForm(_normalize(_substitute(psi, rows)))
 
     # step 1: flex at (0:1:0), tangent z=0
-    psi = transform(form, m.inverse())
-    exact = psi.is_exact
+    psi = substitute(_integral(form.coeffs)[0] if exact else form.coeffs, m.rows)
     top = max(abs(complex(c)) for c in psi.coeffs)
     g = psi.coeff(3, 0, 0)
     h = psi.coeff(0, 2, 1)
@@ -155,38 +161,35 @@ def to_standard(form: CubicForm, flex: ProjPoint):
     if tiny(h):
         raise SingularAtFlex("curve is singular at the marked flex")
 
-    # step 2: x -> ax, y -> ay with a = -h/g makes the x^3 and y^2 z
+    # step 2: x -> -hx, y -> -hy, z -> gz makes the x^3 and y^2 z
     # coefficients negatives of each other
-    alpha = (-Fraction(h) / Fraction(g)) if exact else -complex(h) / complex(g)
-    s2 = ProjMap(((alpha, 0, 0), (0, alpha, 0), (0, 0, 1)))
-    psi = transform(psi, s2.inverse())
+    s2 = ((-h, 0, 0), (0, -h, 0), (0, 0, g))
+    psi = substitute(psi.coeffs, s2)
 
-    # step 3: y -> y + (sx + tz)/2 removes the xyz and yz^2 terms
-    sc = psi.coeff(0, 2, 1)
-    s = psi.coeff(1, 1, 1) / (-sc) if exact else complex(psi.coeff(1, 1, 1)) / -complex(sc)
-    t = psi.coeff(0, 1, 2) / (-sc) if exact else complex(psi.coeff(0, 1, 2)) / -complex(sc)
-    half = Fraction(1, 2) if exact else 0.5
-    s3 = ProjMap(((1, 0, 0), (half * s, 1, half * t), (0, 0, 1)))
-    psi = transform(psi, s3.inverse())
+    # step 3: y -> y + (sx + tz)/2, s and t the xyz and yz^2 coefficients
+    # over minus the y^2 z one, removes those terms
+    d3 = -2 * psi.coeff(0, 2, 1)
+    s3 = ((d3, 0, 0), (psi.coeff(1, 1, 1), d3, psi.coeff(0, 1, 2)), (0, 0, d3))
+    psi = substitute(psi.coeffs, s3)
 
-    # step 4: x -> x - (p'/3) z removes the x^2 z term
-    pp = psi.coeff(2, 0, 1) / psi.coeff(3, 0, 0) if exact else complex(
-        psi.coeff(2, 0, 1)
-    ) / complex(psi.coeff(3, 0, 0))
-    third = Fraction(1, 3) if exact else (1.0 / 3.0)
-    s4 = ProjMap(((1, 0, -third * pp), (0, 1, 0), (0, 0, 1)))
-    psi = transform(psi, s4.inverse())
+    # step 4: x -> x - (p'/3) z, p' the x^2 z coefficient over the x^3 one,
+    # removes the x^2 z term
+    d4 = 3 * psi.coeff(3, 0, 0)
+    s4 = ((d4, 0, -psi.coeff(2, 0, 1)), (0, d4, 0), (0, 0, d4))
+    psi = substitute(psi.coeffs, s4)
 
-    b_map = m.compose(s2).compose(s3).compose(s4)
-    a_map = b_map.inverse()
+    # s2, s3 and s4 are g, d3 and d4 times the divided maps
+    lam = g * d3 * d4
+    b_map = m.compose(ProjMap(s2)).compose(ProjMap(s3)).compose(ProjMap(s4))
+    a_map = ProjMap(tuple(tuple(lam * v for v in r) for r in b_map.inverse().rows))
 
     cs = psi.coeffs
     lead = cs[0]
     if exact:
         if cs[7] != -lead or any(cs[i] != 0 for i in (1, 2, 3, 4, 6, 8)):
             raise ConvergenceFailure("reduction left non-standard terms")
-        a = collapse(Fraction(cs[5]) / Fraction(lead))
-        b = collapse(Fraction(cs[9]) / Fraction(lead))
+        a = collapse(Fraction(cs[5], lead))
+        b = collapse(Fraction(cs[9], lead))
     else:
         ctop = max(abs(complex(c)) for c in cs)
         stray = max(abs(complex(cs[i])) for i in (1, 2, 3, 4, 6, 8))

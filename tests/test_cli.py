@@ -73,6 +73,19 @@ def test_mul_negative(capsys):
     assert out.strip() == "(2 : -3 : 1)"
 
 
+def test_mul_exact_past_float_range(capsys):
+    from test_group_law import P14, affine_add, integer_triple
+
+    a, b, p, n = P14
+    want = None
+    for _ in range(n):
+        want = affine_add(a, want, p)
+    code, out = run(capsys, "mul", "--standard", f"{a},{b}", "--base", "0,1,0",
+                    "--p", f"{p[0]},{p[1]}", "--n", str(n))
+    assert code == 0
+    assert out.strip() == "(%d : %d : %d)" % integer_triple(want)
+
+
 def test_tangent(capsys):
     code, out = run(capsys, "tangent", "--standard", "0,1", "--p", "2,3")
     assert code == 0

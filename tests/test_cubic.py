@@ -121,6 +121,69 @@ def test_hessian_transform_covariance():
         assert lhs.coeffs == tuple(Fraction(c, a.det() ** 2) for c in rhs.coeffs)
 
 
+def _rational_forms_and_maps(n=20, seed=16):
+    """Seeded random forms and invertible maps with rational entries."""
+    rng = random.Random(seed)
+
+    def q(top):
+        return Fraction(rng.randint(-top, top), rng.randint(1, 6))
+
+    pairs = []
+    while len(pairs) < n:
+        f = CubicForm(tuple(q(6) for _ in range(10)))
+        try:
+            pairs.append((f, ProjMap(tuple(tuple(q(4) for _ in range(3)) for _ in range(3)))))
+        except SingularMap:
+            pass
+    return pairs
+
+
+def _fraction_inverse(rows):
+    """The inverse matrix by Gauss-Jordan elimination over Fraction."""
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(3)]
+           for i, row in enumerate(rows)]
+    for col in range(3):
+        piv = next(r for r in range(col, 3) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(3):
+            if r != col:
+                aug[r] = [v - aug[r][col] * w for v, w in zip(aug[r], aug[col])]
+    return tuple(tuple(row[3:]) for row in aug)
+
+
+def _compose_reference(coeffs, rows):
+    """coeffs o rows, each monomial multiplied out: x_r becomes rows[r].x."""
+    out = dict.fromkeys(MONOMIALS, 0)
+    for mono, c in zip(MONOMIALS, coeffs):
+        poly = {(0, 0, 0): c}
+        for var, power in enumerate(mono):
+            for _ in range(power):
+                step = {}
+                for e, v in poly.items():
+                    for t in range(3):
+                        e2 = tuple(n + (s == t) for s, n in enumerate(e))
+                        step[e2] = step.get(e2, 0) + v * rows[var][t]
+                poly = step
+        for e, v in poly.items():
+            out[e] += v
+    return tuple(out[m] for m in MONOMIALS)
+
+
+def test_transform_rational_matches_fraction_inverse():
+    # the route transform took before integer representatives: invert the
+    # map over Fraction, then substitute its rows
+    for f, a in _rational_forms_and_maps():
+        assert transform(f, a).coeffs == _compose_reference(f.coeffs, _fraction_inverse(a.rows))
+
+
+def test_hessian_transform_covariance_rational():
+    for f, a in _rational_forms_and_maps():
+        lhs = transform(f, a).hessian()
+        rhs = transform(f.hessian(), a)
+        assert lhs.coeffs == tuple(c / a.det() ** 2 for c in rhs.coeffs)
+
+
 def test_find_flexes_fermat():
     fs = find_flexes(FERMAT)
     assert len(fs) == 9
@@ -156,6 +219,8 @@ SINGULAR_MAPS = (
     ((2, 1, 0), (0, 1, -1), (1, 0, 3)),
     ((1, 1, 0), (0, 2, -1), (1, 0, 1)),
     ((2, 0, 1), (0, 1, 1), (-1, 1, 0)),
+    # singular_points once missed the node of NODAL under this map
+    ((1, 1, 0), (-3, -2, 2), (1, -1, 3)),
 )
 
 

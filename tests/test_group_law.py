@@ -29,6 +29,47 @@ def group():
     return flex_based_group(C1)
 
 
+def affine_add(a, p, q):
+    """Chord-tangent sum on y^2 = x^3 + ax + b over Fraction, in affine
+    coordinates with None for the point at infinity."""
+    if p is None or q is None:
+        return q if p is None else p
+    (x1, y1), (x2, y2) = p, q
+    if x1 == x2 and y1 == -y2:
+        return None
+    lam = (3 * x1 * x1 + a) / (2 * y1) if p == q else (y2 - y1) / (x2 - x1)
+    x3 = lam * lam - x1 - x2
+    return x3, lam * (x1 - x3) - y1
+
+
+def integer_triple(p):
+    """(x : y : 1) as coprime integers, first nonzero positive."""
+    den = math.lcm(p[0].denominator, p[1].denominator)
+    ints = [p[0] * den, p[1] * den, den]
+    g = math.gcd(*(int(v) for v in ints))
+    sign = 1 if next(v for v in ints if v != 0) > 0 else -1
+    return tuple(int(v) // g * sign for v in ints)
+
+
+# 14P on y^2 = x^3 - 2 from P = (3, 5): its coordinates have 173 digits, so
+# the cubic restricted to a line through it has coefficients past the float
+# range
+P14 = (0, -2, (Fraction(3), Fraction(5)), 14)
+
+
+def test_exact_multiples_past_float_range():
+    a, b, p, n = P14
+    curve = StandardCurve(a, b).cubic_form()
+    g = BasedGroup(curve, ProjPoint(0, 1, 0))
+    want = None
+    for k in range(1, n + 1):
+        want = affine_add(a, want, p)
+        got = multiply(g, k, affine_point(curve, *p))
+        assert got.is_exact
+        assert got.point == ProjPoint(*want, 1)
+    assert max(abs(v) for v in integer_triple(want)) ** 3 > 10 ** 308
+
+
 def test_membership_enforced():
     with pytest.raises(InvalidInput):
         curve_point(C1, (5, 5, 1))

@@ -71,6 +71,20 @@ def test_map_compose_inverse():
     assert ident.apply(p) == p
 
 
+def test_rational_map_inverse_is_literal():
+    m = ProjMap(((Fraction(1, 2), 2, Fraction(-3, 7)), (0, Fraction(5, 3), 1), (4, Fraction(1, 6), 1)))
+    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert m.compose(m.inverse()).rows == ident
+    assert m.inverse().compose(m).rows == ident
+    assert m.inverse().inverse().rows == m.rows
+
+
+def test_proj_distance_past_float_range():
+    big = 10 ** 400
+    assert proj_distance(ProjPoint(big, 1, 0), ProjPoint(1, 0, 0)) < 1e-300
+    assert proj_distance(ProjPoint(big, Fraction(big, 3), 1), ProjPoint(0, 0, 1)) == pytest.approx(1.0)
+
+
 def test_singular_map_rejected():
     with pytest.raises(SingularMap):
         ProjMap(((1, 2, 3), (2, 4, 6), (0, 0, 1))).inverse()
