@@ -85,6 +85,19 @@ def _second_partials_at(c, point):
     return tuple(u * x + v * y + w * z for u, v, w in _second_partials(c))
 
 
+def _sym_adjugate(xx, xy, xz, yy, yz, zz):
+    """The adjugate of a symmetric 3x3 matrix, in the same six-entry order."""
+    return (
+        yy * zz - yz * yz, xz * yz - xy * zz, xy * yz - xz * yy,
+        xx * zz - xz * xz, xy * xz - xx * yz, xx * yy - xy * xy,
+    )
+
+
+def _trace_product(a, b):
+    """tr(a b) of two symmetric 3x3 matrices given by six entries each."""
+    return a[0] * b[0] + a[3] * b[3] + a[5] * b[5] + 2 * (a[1] * b[1] + a[2] * b[2] + a[4] * b[4])
+
+
 def _ladd(a, b):
     if len(a) < len(b):
         a, b = b, a
@@ -249,17 +262,31 @@ def evaluate_grid(form: CubicForm, x, y, z):
 
 
 def _substitute(coeffs, b):
-    """The 10 coefficients of the cubic with coefficients coeffs composed
-    with the matrix b: x_r becomes b_r.x, b_r the rows of b."""
-    c = dict(zip(_CUBIC, coeffs))
-    acc = [0] * 10
-    # form = sum over r <= s of x_r x_s (sum over t >= s of c_rst x_t)
-    for r, s in _QUADRATIC:
-        cs = [(c[r, s, t], b[t]) for t in range(s, 3) if c[r, s, t] != 0]
-        if cs:
-            lin = [sum(v * row[j] for v, row in cs) for j in range(3)]
-            acc = [u + v for u, v in zip(acc, _times(_pair(b[r], b[s]), lin))]
-    return acc
+    """The 10 coefficients of the cubic f with coefficients coeffs composed
+    with the matrix b: x_r becomes b_r.x, b_r the rows of b.
+
+    With u, v, w the columns of b, the image is f(xu + yv + zw), read off
+    by evaluation: its x^3 coefficient is f(u), its x^2 y coefficient
+    grad f(u).v, and so on, and its xyz coefficient the third derivative
+    u^T M(w) v, M(w) the matrix of second partials of f at w.
+    """
+    f = CubicForm(coeffs)
+    u, v, w = zip(*b)
+    gu, gv, gw = f.gradient(u), f.gradient(v), f.gradient(w)
+    xx, xy, xz, yy, yz, zz = _second_partials_at(coeffs, w)
+    mv = (
+        xx * v[0] + xy * v[1] + xz * v[2],
+        xy * v[0] + yy * v[1] + yz * v[2],
+        xz * v[0] + yz * v[1] + zz * v[2],
+    )
+
+    def dot(g, p):
+        return g[0] * p[0] + g[1] * p[1] + g[2] * p[2]
+
+    return [
+        f.evaluate(u), dot(gu, v), dot(gu, w), dot(gv, u), dot(mv, u),
+        dot(gw, u), f.evaluate(v), dot(gv, w), dot(gw, v), f.evaluate(w),
+    ]
 
 
 def transform(form: CubicForm, a: ProjMap) -> CubicForm:
@@ -343,11 +370,17 @@ def flex_defect(form: CubicForm, p: ProjPoint) -> float:
     if not q.is_exact:
         q = q.normalized()
     c = restrict_to_line(fn, pn, q)
-    mags = [abs(complex(v)) for v in c]
+    if all_exact(c):
+        # c_i as if p and q had largest coordinate 1, as the floating
+        # points do, kept exact whatever the height of p and q
+        sp, sq = (max(abs(v) for v in r.coords) for r in (pn, q))
+        mags = [Fraction(abs(v), sp ** (3 - i) * sq ** i) for i, v in enumerate(c)]
+    else:
+        mags = [abs(complex(v)) for v in c]
     top = max(mags)
-    if top == 0.0:
+    if top == 0:
         return math.inf
-    return max(mags[0], mags[1], mags[2]) / top
+    return float(max(mags[0], mags[1], mags[2]) / top)
 
 
 def is_flex(form: CubicForm, p: ProjPoint, tol: float = 1e-6) -> bool:
@@ -438,28 +471,27 @@ def _hessian_det(c, point):
     coefficients, which lose digits to cancellation on an ill-conditioned
     form.
     """
-    xx, xy, xz, yy, yz, zz = _second_partials_at(c, point)
-    axx, ayy, azz = yy * zz - yz * yz, xx * zz - xz * xz, xx * yy - xy * xy
-    axy, axz, ayz = xz * yz - xy * zz, xy * yz - xz * yy, xy * xz - xx * yz
-    det = xx * axx + xy * axy + xz * axz
+    m = _second_partials_at(c, point)
+    axx, axy, axz, ayy, ayz, azz = _sym_adjugate(*m)
+    det = m[0] * axx + m[1] * axy + m[2] * axz
     gx = 6 * c[0] * axx + 2 * c[3] * ayy + 2 * c[5] * azz + 4 * c[1] * axy + 4 * c[2] * axz + 2 * c[4] * ayz
     gy = 2 * c[1] * axx + 6 * c[6] * ayy + 2 * c[8] * azz + 4 * c[3] * axy + 2 * c[4] * axz + 4 * c[7] * ayz
     gz = 2 * c[2] * axx + 2 * c[7] * ayy + 6 * c[9] * azz + 2 * c[4] * axy + 4 * c[5] * axz + 4 * c[8] * ayz
     return det, (gx, gy, gz)
 
 
-def _polish_flex(f: CubicForm, h_scale: float, coords, iters: int = 16):
-    """Newton iteration for a flex near coords: f = 0 and det of the matrix
-    of second partials of f = 0, the latter divided by h_scale, the largest
-    coefficient of the Hessian form of f."""
+def _polish_flex(f: CubicForm, hessian_at, coords, iters: int = 16):
+    """Newton iteration for a flex near coords: f = 0 and h = 0, h the
+    Hessian form of f scaled to unit largest coefficient, whose value and
+    gradient at a point hessian_at gives."""
     p = [complex(c) for c in coords]
     top = max(abs(c) for c in p)
     p = [c / top for c in p]
     pivot = max(range(3), key=lambda i: abs(p[i]))
     free = [i for i in range(3) if i != pivot]
-    fv, (hv, gh) = f.evaluate(p), _hessian_det(f.coeffs, p)
+    fv, (hv, gh) = f.evaluate(p), hessian_at(p)
     best = list(p)
-    best_r = max(abs(fv), abs(hv) / h_scale)
+    best_r = max(abs(fv), abs(hv))
     stall = 0
     for _ in range(iters):
         gf = f.gradient(p)
@@ -470,8 +502,8 @@ def _polish_flex(f: CubicForm, h_scale: float, coords, iters: int = 16):
             break
         p[free[0]] -= step[0]
         p[free[1]] -= step[1]
-        fv, (hv, gh) = f.evaluate(p), _hessian_det(f.coeffs, p)
-        r = max(abs(fv), abs(hv) / h_scale)
+        fv, (hv, gh) = f.evaluate(p), hessian_at(p)
+        r = max(abs(fv), abs(hv))
         if r < best_r:
             best, best_r = list(p), r
             stall = 0
@@ -490,8 +522,9 @@ class FlexSet:
 
     The residual of a flex is max(|f(p)|, |h(p)|) at the point p scaled to
     largest coordinate 1, where f is the form and h its Hessian form, both
-    scaled to unit largest coefficient.  h(p) is evaluated as the
-    determinant of the second partials of f at p (see _hessian_det).
+    scaled to unit largest coefficient.  On floating input h(p) is
+    evaluated as the determinant of the second partials of f at p (see
+    _hessian_det), on exact input from h's exactly expanded coefficients.
     """
 
     points: tuple
@@ -529,8 +562,9 @@ _REAL_SIDE_TOL = 1e-6
 # nearest-pair distances: at least 8.3e-3 on 1800 curves of the bench's
 # exact workload (condition numbers up to 100), 2.0e-2 on 2400 of its reduce
 # curves and 0.29 on 300 random complex cubics.  On nodal and cuspidal forms
-# under 100 integer maps, exact or rounded to floats, the meets that polish
-# cluster at the singular point within 2.8e-4 of each other.
+# under 100 integer maps with entries in -3..3, the meets that polish
+# cluster at the singular point within 4.7e-4 of each other when rounded to
+# floats, within 6.7e-6 when exact.
 _FLEX_SEPARATION = 1e-3
 
 
@@ -539,6 +573,47 @@ def _side(g):
     g = g / g[np.argmax(np.abs(g))]
     real = np.abs(g.imag).max() <= _REAL_SIDE_TOL
     return tuple(float(v.real) if real else complex(v) for v in g)
+
+
+def _invariants_at_point(c, hc):
+    """(sigma, tau) of the cubic with coefficients c and Hessian coefficients
+    hc, read at one point (see _invariants); exact on exact input."""
+    f, h = CubicForm(c), CubicForm(hc)
+    # the ten points (i, j, k), i + j + k = 3, have an evaluation matrix of
+    # rank 10, so f vanishes at no more than nine of them; the largest
+    # |f(p)| / |p|^3 is the best conditioned divisor
+    p = max(MONOMIALS, key=lambda q: abs(f.evaluate(q)) ** 2 / Fraction(sum(v * v for v in q) ** 3))
+    fp, hp = f.evaluate(p), h.evaluate(p)
+    mf, mh = _second_partials_at(c, p), _second_partials_at(hc, p)
+    s1 = _trace_product(_sym_adjugate(*mf), mh)
+    s2 = _trace_product(mf, _sym_adjugate(*mh))
+    if is_exact(s1):
+        s1 = Fraction(s1)
+    sigma = s1 / fp
+    return sigma, (s2 + sigma * hp) / fp
+
+
+def _invariants(form: CubicForm):
+    """The invariants (sigma, tau) of the form, of degrees 4 and 6: S and T
+    up to constants, defined by the Hessian of the pencil <f, h> spanned by
+    the form f and its Hessian h,
+
+        Hess(f + t h) = (sigma t + tau t^2 + sigma^2 t^3 / 3) f
+                        + (1 - sigma t^2 - tau t^3 / 3) h.
+
+    The coefficients of t and t^2 give them at any point p with f(p) != 0,
+    with M_f, M_h the matrices of second partials of f and h at p:
+    sigma = tr(adj M_f M_h) / f(p), tau = (tr(M_f adj M_h) + sigma h(p)) / f(p).
+    The curve is singular exactly when 4 sigma^3 = 3 tau^2, and
+    J = 4 sigma^3 / (4 sigma^3 - 3 tau^2).  Exact input expands h once on its
+    integer representative ints / den and divides by den^4 and den^6.
+    DegenerateForm when h vanishes identically.
+    """
+    if form.is_exact:
+        ints, den = _integral(form.coeffs)
+        sigma, tau = _invariants_at_point(ints, CubicForm(ints).hessian().coeffs)
+        return sigma / den ** 4, tau / den ** 6
+    return _invariants_at_point(form.coeffs, form.hessian().coeffs)
 
 
 def _pencil_triangles(form: CubicForm):
@@ -550,32 +625,52 @@ def _pencil_triangles(form: CubicForm):
     singular members, each a triangle of inflection lines, and each flex
     lies on one side of each triangle (Artebani & Dolgachev, "The Hesse
     pencil of plane cubic curves", 2009, sections 1-2).  The Hessian maps
-    the pencil to itself, Hess(f + t h) = a(t) f + b(t) h with binary cubics
-    a and b, and the triangles are its fixed points: the roots of
-    t a(t) - b(t).  A root lost to a degree drop is the member h itself.
+    the pencil to itself, Hess(f + t h) = a(t) f + b(t) h, and the triangles
+    are its fixed points: by the closed form of a and b in the invariants
+    (see _invariants), the roots of
+
+        (sigma^2 / 3) t^4 + (4 tau / 3) t^3 + 2 sigma t^2 - 1.
+
+    A root lost to a degree drop is the member h itself.  h is expanded
+    once, exactly on the integer representative of exact input: in floats,
+    cancellation can cost an ill-conditioned form most of its digits.
 
     The meets of the sides of two triangles, polished by Newton on f = 0
-    and det of the matrix of second partials of f = 0 (_polish_flex), are
-    the flexes; every side is then refit through the three
-    flexes nearest to it.  Returns (triangles, flexes), each triangle the
+    and h = 0 (_polish_flex), are the flexes; every side is then refit
+    through the three flexes nearest to it.  Returns (triangles, flexes), each triangle the
     three rows of its sides, best conditioned first.
     """
-    top = max(abs(complex(c)) for c in form.coeffs)
-    f = CubicForm(tuple(complex(c) / top for c in form.coeffs))
-    # exact input gets its Hessian exactly: in floats, cancellation can
-    # cost an ill-conditioned form most of its digits
-    hc = np.array([complex(c) for c in form.hessian().coeffs])
-    h_top = np.abs(hc).max()
-    h_scale = h_top / top ** 3  # the largest coefficient of the Hessian of f
-    fc, hc = np.array(f.coeffs), hc / h_top
-    # Hess(f + t h) at the fourth roots of unity; the inverse DFT of the
-    # samples gives the forms C_0..C_3 with Hess(f + t h) = sum C_i t^i
-    samples = [CubicForm(tuple(fc + t * hc)).hessian().coeffs for t in (1, 1j, -1, -1j)]
-    cs = np.fft.fft(np.array(samples, dtype=complex), axis=0) / 4
-    (a, b), _, _, sv = np.linalg.lstsq(np.column_stack((fc, hc)), cs.T, rcond=None)
+    if form.is_exact:
+        c = _integral(form.coeffs)[0]
+    else:
+        scale = max(abs(v) for v in form.coeffs)
+        c = [v / scale for v in form.coeffs]
+    top = max(abs(v) for v in c)
+    hc = CubicForm(c).hessian().coeffs
+    sigma, tau = _invariants_at_point(c, hc)
+    h_top = max(abs(v) for v in hc)
+    # f and h scaled to unit largest coefficient, with the invariants of
+    # the pair f + t h in that scaling
+    f = CubicForm(tuple(complex(v / top) for v in c))
+    h = CubicForm(tuple(complex(v / h_top) for v in hc))
+    fc, hc = np.array(f.coeffs), np.array(h.coeffs)
+    sigma, tau = complex(sigma * top ** 2 / h_top ** 2), complex(tau * top ** 3 / h_top ** 3)
+    if form.is_exact:
+        # h's exact coefficients, rounded once, lose fewer digits than the
+        # determinant of f's rounded second partials
+        def hessian_at(p):
+            return h.evaluate(p), h.gradient(p)
+    else:
+        h_scale = h_top / top ** 3  # the largest coefficient of the Hessian of f
+
+        def hessian_at(p):
+            v, g = _hessian_det(f.coeffs, p)
+            return v / h_scale, tuple(x / h_scale for x in g)
+
+    sv = np.linalg.svd(np.array([fc, hc]), compute_uv=False)
     if sv[1] <= 1e-9 * sv[0]:
         raise ConvergenceFailure("the Hessian is proportional to the form")
-    roots = poly_roots((a[3], a[2] - b[3], a[1] - b[2], a[0] - b[1], -b[0]))
+    roots = poly_roots((sigma ** 2 / 3, 4 * tau / 3, 2 * sigma, 0, -1))
     members = [(1, t) if abs(t) <= 1 else (1 / t, 1) for t in roots]
     members += [(0, 1)] * (4 - len(roots))
     p, q = (np.array(v) for v in _SPLIT_LINE)
@@ -593,7 +688,7 @@ def _pencil_triangles(form: CubicForm):
     # a split point near a vertex spoils its sides, so take the first pair
     # of triangles whose nine meets polish to nine distinct flexes
     for (_, s0), (_, s1) in itertools.combinations(split, 2):
-        found = [_polish_flex(f, h_scale, c) for c in np.cross(s0[:, None], s1[None]).reshape(9, 3)]
+        found = [_polish_flex(f, hessian_at, c) for c in np.cross(s0[:, None], s1[None]).reshape(9, 3)]
         if not all(r < 1e-8 for _, r in found):
             continue
         found.sort(key=lambda t: _point_sort_key(ProjPoint(*t[0])))
@@ -645,8 +740,8 @@ def find_flexes(form: CubicForm) -> FlexSet:
 
     The sides of two triangles of the pencil spanned by the curve and its
     Hessian are inflection lines; each side of one meets each side of the
-    other in a flex, which Newton then polishes on the curve and on the
-    determinant of its second partials at the point (see _polish_flex).
+    other in a flex, which Newton then polishes on the curve and on its
+    Hessian (see _polish_flex).
     """
     return _from_pencil_triangles(form, lambda triangles, flexes: flexes)
 
@@ -916,7 +1011,17 @@ def singular_points(form: CubicForm) -> list[ProjPoint]:
 
 
 def is_smooth(form: CubicForm) -> bool:
+    """Whether the curve has no singular point.
+
+    Exact input is decided exactly: the curve is singular when
+    4 sigma^3 = 3 tau^2 (see _invariants) or when its Hessian vanishes
+    identically, which makes it a union of concurrent lines.  Floating
+    input is decided by singular_points.
+    """
     try:
+        if form.is_exact:
+            sigma, tau = _invariants(form)
+            return 4 * sigma ** 3 != 3 * tau ** 2
         return not singular_points(form)
     except DegenerateForm:
         return False

@@ -37,8 +37,12 @@ def _coeff_scale(form: CubicForm) -> float:
 
 
 def _project_to_curve(form: CubicForm, coords):
-    """Two least-norm Newton steps pulling a nearby point onto the curve."""
+    """Two least-norm Newton steps pulling a nearby point onto the curve,
+    which is first scaled to largest coordinate 1, so that the steps see
+    the residual and gradient of the point itself, whatever its size."""
     v = [complex(c) for c in coords]
+    top = max(abs(c) for c in v)
+    v = [c / top for c in v]
     for _ in range(2):
         p = ProjPoint(*v).coords
         val = complex(form.evaluate(p))

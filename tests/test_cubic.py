@@ -8,6 +8,7 @@ from cubica.cubic import (
     MONOMIALS,
     CubicForm,
     _hessian_det,
+    _invariants,
     evaluate_grid,
     find_flexes,
     flex_defect,
@@ -25,8 +26,9 @@ from cubica.errors import (
     SingularCurve,
     SingularMap,
 )
-from cubica.hesse import hesse_form, to_hesse
+from cubica.hesse import hesse_form, j_of_k, to_hesse
 from cubica.projective import ProjMap, ProjPoint, proj_distance
+from cubica.standard import StandardCurve
 
 # coefficient order: x^3, x^2 y, x^2 z, x y^2, x y z, x z^2, y^3, y^2 z, y z^2, z^3
 FERMAT = CubicForm((1, 0, 0, 0, 0, 0, 1, 0, 0, 1))
@@ -184,6 +186,47 @@ def test_hessian_transform_covariance_rational():
         assert lhs.coeffs == tuple(c / a.det() ** 2 for c in rhs.coeffs)
 
 
+def test_invariants_give_hessian_of_pencil():
+    # Hess(f + t h) = (s t + u t^2 + s^2 t^3 / 3) f + (1 - s t^2 - u t^3 / 3) h
+    # with (s, u) = _invariants(f), coefficient for coefficient against the
+    # expanded Hessian
+    for f, _ in _random_forms_and_maps(seed=21):
+        h = f.hessian()
+        s, u = _invariants(f)
+        for t in (1, 2):
+            member = CubicForm(tuple(a + t * b for a, b in zip(f.coeffs, h.coeffs)))
+            p, q = s * t + u * t ** 2 + s ** 2 * t ** 3 / 3, 1 - s * t ** 2 - u * t ** 3 / 3
+            assert member.hessian().coeffs == tuple(p * a + q * b for a, b in zip(f.coeffs, h.coeffs))
+
+
+def _j_of_invariants(form):
+    s, u = _invariants(form)
+    return 4 * s ** 3 / (4 * s ** 3 - 3 * u ** 2)
+
+
+def test_invariants_give_j():
+    # J = 4 s^3 / (4 s^3 - 3 u^2), against J(k) on Hesse members and
+    # 4a^3 / (4a^3 + 27b^2) on standard forms, also moved by an integer map
+    a_map = ProjMap(((1, 2, 0), (-1, 1, 3), (2, 0, 1)))
+    for k in (0, 2, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4)):
+        for form in (hesse_form(k), transform(hesse_form(k), a_map)):
+            assert _j_of_invariants(form) == j_of_k(k)
+    for a, b in ((0, 1), (1, 0), (-2, 3), (Fraction(2, 3), Fraction(-5, 7)), (Fraction(-3, 2), 4)):
+        want = Fraction(4 * a ** 3) / (4 * a ** 3 + 27 * b ** 2)
+        for form in (StandardCurve(a, b).cubic_form(), transform(StandardCurve(a, b).cubic_form(), a_map)):
+            assert _j_of_invariants(form) == want
+
+
+def test_invariants_transform_weights():
+    # sigma and tau are invariants of weight 4 and 6: transform(f, A) =
+    # f o A^-1 has det(A)^-4 sigma(f) and det(A)^-6 tau(f)
+    for f, a in _random_forms_and_maps(seed=22):
+        s, u = _invariants(f)
+        s_image, u_image = _invariants(transform(f, a))
+        assert s_image == Fraction(s) / a.det() ** 4
+        assert u_image == Fraction(u) / a.det() ** 6
+
+
 def test_find_flexes_fermat():
     fs = find_flexes(FERMAT)
     assert len(fs) == 9
@@ -229,10 +272,30 @@ SINGULAR_MAPS = (
 def test_singular_input_raises_singular_curve(name, rows):
     curve = {"nodal": NODAL, "cuspidal": CUSPIDAL, "triangle k=1": hesse_form(1)}[name]
     form = transform(curve, ProjMap(rows))
+    assert not is_smooth(form)
     with pytest.raises(SingularCurve):
         find_flexes(form)
     with pytest.raises(SingularCurve):
         to_hesse(form)
+
+
+# exact curves of the exact benchmark workload (y^2 = x^3 + ax + b under an
+# integer map) that elimination in singular_points once called singular
+SMOOTH_EXACT = (
+    (3311, 5481, -2199, Fraction(9068, 3), Fraction(-7276, 3), Fraction(1457, 3),
+     Fraction(1666, 3), Fraction(-2005, 3), Fraction(803, 3), Fraction(-107, 3)),
+    (-5510, 13761, -8247, -11458, 13734, -4116, Fraction(28627, 9), -5719, 3428, -685),
+    (28983, 130392, 28999, 195543, 86976, 9671, 97750, 65217, 14503, 1075),
+)
+
+
+@pytest.mark.parametrize("coeffs", SMOOTH_EXACT)
+def test_is_smooth_exact_curves(coeffs):
+    assert is_smooth(CubicForm(coeffs))
+
+
+def test_is_smooth_false_on_vanishing_hessian():
+    assert not is_smooth(CubicForm((0, 1, 0, 0, 0, 0, 0, 0, 0, 0)))  # x^2 y
 
 
 def test_singular_points_nodal():

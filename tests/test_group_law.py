@@ -16,6 +16,7 @@ from cubica.group_law import (
     multiply,
     negate,
     three_torsion,
+    _project_to_curve,
 )
 from cubica.projective import ProjPoint, proj_distance
 from cubica.standard import StandardCurve
@@ -68,6 +69,26 @@ def test_exact_multiples_past_float_range():
         assert got.is_exact
         assert got.point == ProjPoint(*want, 1)
     assert max(abs(v) for v in integer_triple(want)) ** 3 > 10 ** 308
+
+
+def test_flex_base_test_on_exact_points_past_float_range():
+    a, b, p, n = P14
+    curve = StandardCurve(a, b).cubic_form()
+    point = multiply(BasedGroup(curve, ProjPoint(0, 1, 0)), n, affine_point(curve, *p)).point
+    assert not BasedGroup(curve, point).is_flex_based()
+    assert BasedGroup(curve, ProjPoint(0, 1, 0)).is_flex_based()
+
+
+def test_projection_of_a_tiny_point():
+    # a point 1e-6 off the curve, with coordinates of size 1e-8, where the
+    # gradient's squared norm is 6e-31: the projection sees the point
+    # itself, not its size
+    x = 1.27
+    coords = [1e-8 * v for v in (x, math.sqrt(x ** 3 - 2) + 1e-6, 1.0)]
+    curve = StandardCurve(0, -2).cubic_form()
+    q = [complex(v) for v in _project_to_curve(curve, coords).coords]
+    top = max(abs(v) for v in q)
+    assert abs(curve.evaluate([v / top for v in q])) < 1e-14
 
 
 def test_membership_enforced():
