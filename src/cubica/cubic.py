@@ -241,16 +241,17 @@ class CubicForm:
 def evaluate_grid(form: CubicForm, x, y, z):
     """Vectorized evaluation on numpy arrays (used by the renderers)."""
     acc = np.zeros(np.broadcast(x, y, z).shape)
-    # v ** 0 and v ** 1 are 1.0 and v exactly; a square serves two
-    # monomials and is kept, a cube serves one and is not
+    # v ** 0, v ** 1 and v ** 2 are 1.0, v and v * v exactly; the cube is
+    # the kept square times v, as numpy's v ** 3 calls the scalar libm pow
+    # on any array holding a negative value, about 40 times slower
     powers = [[1.0, v, None] for v in (x, y, z)]
     for m, c in zip(MONOMIALS, form.coeffs):
         if c == 0:
             continue
         for p, n in zip(powers, m):
-            if n == 2 and p[2] is None:
+            if n >= 2 and p[2] is None:
                 p[2] = p[1] ** 2
-        px, py, pz = (p[1] ** 3 if n == 3 else p[n] for p, n in zip(powers, m))
+        px, py, pz = (p[2] * p[1] if n == 3 else p[n] for p, n in zip(powers, m))
         # one product, whose temporaries numpy reuses in place
         acc = acc + float(c) * px * py * pz
     return acc
@@ -717,19 +718,24 @@ def _from_pencil_triangles(form: CubicForm, build):
     """build(triangles, flexes) from _pencil_triangles on the form.
 
     Every failure of the construction ends in one verdict: SingularCurve
-    when singular_points finds the curve singular, ConvergenceFailure
-    otherwise.
+    when the curve is singular, ConvergenceFailure otherwise.  Exact input
+    is judged by the exact is_smooth, and singular_points only names the
+    point; floating input is judged by singular_points.
     """
     try:
         return build(*_pencil_triangles(form))
     except (CubicaError, ArithmeticError, np.linalg.LinAlgError) as exc:
         error = exc
-    try:
-        sing = singular_points(form)
-    except DegenerateForm:
-        raise SingularCurve("form has a repeated factor") from None
-    if sing:
-        raise SingularCurve(f"curve is singular at {sing[0]!r}")
+    smooth = is_smooth(form) if form.is_exact else None
+    if not smooth:
+        try:
+            sing = singular_points(form)
+        except DegenerateForm:
+            raise SingularCurve("form has a repeated factor") from None
+        if sing:
+            raise SingularCurve(f"curve is singular at {sing[0]!r}")
+        if smooth is False:
+            raise SingularCurve("curve is singular: 4 sigma^3 = 3 tau^2")
     if isinstance(error, ConvergenceFailure):
         raise error
     raise ConvergenceFailure(f"triangle construction failed: {error!r}") from error

@@ -111,10 +111,16 @@ def chord_tangent(p: CurvePoint, q: CurvePoint) -> CurvePoint:
         # the third point does not depend on the scale of the form
         form = CubicForm(_integral(form.coeffs)[0])
 
-    def vanished(u, v):
+    def vanished(cs, n, u, v):
+        """cs[n] and cs[n + 1] are zero, or on float input below the
+        rounding of their own sums: 1e-13 times the sum of their terms'
+        sizes, which follows the points as well as the form."""
         if exact:
-            return u == 0 and v == 0
-        return max(abs(complex(u)), abs(complex(v))) <= 1e-14 * _coeff_scale(form)
+            return cs[n] == 0 and cs[n + 1] == 0
+        sizes = restrict_to_line(
+            CubicForm(tuple(abs(complex(c)) for c in form.coeffs)),
+            *(ProjPoint(*(abs(complex(c)) for c in x.coords)) for x in (u, v)))
+        return all(abs(complex(cs[i])) <= 1e-13 * sizes[i] for i in (n, n + 1))
 
     if p.point == q.point:
         line = tangent_line(form, p.point)
@@ -124,14 +130,14 @@ def chord_tangent(p: CurvePoint, q: CurvePoint) -> CurvePoint:
         cs = restrict_to_line(form, p.point, d)
         # c1 = 0 by construction of d, so c(s,t) = t^2 (c2 s + c3 t)
         c2, c3 = cs[2], cs[3]
-        if vanished(c2, c3):
+        if vanished(cs, 2, p.point, d):
             raise ConvergenceFailure("tangent restriction vanished")
         third = tuple(c3 * a - c2 * b for a, b in zip(p.point.coords, d.coords))
     else:
         cs = restrict_to_line(form, p.point, q.point)
         # c0 and c3 vanish (membership), leaving st(c1 s + c2 t)
         c1, c2 = cs[1], cs[2]
-        if vanished(c1, c2):
+        if vanished(cs, 1, p.point, q.point):
             raise ConvergenceFailure("chord restriction vanished")
         third = tuple(c2 * a - c1 * b for a, b in zip(p.point.coords, q.point.coords))
     if all((c == 0 if exact else abs(complex(c)) < 1e-300) for c in third):

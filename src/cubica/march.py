@@ -35,17 +35,23 @@ _EDGES = np.array([
 def marching_segments(xs, ys, vals):
     """Zero-crossing segments of a scalar field sampled at vals[j, i] =
     f(xs[i], ys[j]).  Cells touching a NaN are skipped."""
-    # a sample sitting exactly on the contour would make zero-length
-    # segments and split the stitched curve; push it off by a hair
-    vals = np.where(vals == 0.0, 1e-300, vals)
+    vals = np.asarray(vals, dtype=float)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    corners = (vals[:-1, :-1], vals[:-1, 1:], vals[1:, 1:], vals[1:, :-1])
-    code = sum((c > 0.0).astype(np.intp) << n for n, c in enumerate(corners))
-    nan = np.logical_or.reduce([np.isnan(c) for c in corners])
-    jj, ii = np.nonzero(~nan & (code != 0) & (code != 15))
+
+    def corners(grid):
+        return (grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1])
+
+    # a sample sitting exactly on the contour would make zero-length
+    # segments and split the stitched curve, so it counts as positive here
+    # and is pushed off by a hair below; the codes are one byte per cell
+    p0, p1, p2, p3 = corners((vals >= 0.0).view(np.uint8))
+    code = p0 | p1 << 1 | p2 << 2 | p3 << 3
+    n0, n1, n2, n3 = corners(np.isnan(vals))
+    jj, ii = np.nonzero(~(n0 | n1 | n2 | n3) & (code != 0) & (code != 15))
     code = code[jj, ii]
-    v = np.stack([c[jj, ii] for c in corners])
+    v = np.stack([c[jj, ii] for c in corners(vals)])
+    v[v == 0.0] = 1e-300
     x = np.stack([xs[ii], xs[ii + 1], xs[ii + 1], xs[ii]])
     y = np.stack([ys[jj], ys[jj], ys[jj + 1], ys[jj + 1]])
     # the crossing on edge n of every active cell; edges a cell does not
@@ -130,14 +136,18 @@ def stitch(segs):
 def implicit_curve(fn, window, resolution):
     """Polylines of fn(x, y) = 0 over window = (xmin, xmax, ymin, ymax).
 
-    fn receives numpy coordinate arrays X, Y of shape (resolution,
-    resolution) and returns the field values; NaN masks points out.
+    fn receives the sample axes as broadcastable arrays, X of shape
+    (1, resolution) and Y of shape (resolution, 1), so that numpy
+    arithmetic on them yields the field at every grid point while powers
+    of one coordinate are computed on a vector; it may return any shape
+    that broadcasts to (resolution, resolution), a scalar included.  NaN
+    masks points out.
     """
     xmin, xmax, ymin, ymax = window
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    vals = np.asarray(fn(gx, gy), dtype=float)
+    vals = np.asarray(fn(xs[None, :], ys[:, None]), dtype=float)
+    vals = np.broadcast_to(vals, (resolution, resolution))
     return stitch(marching_segments(xs, ys, vals))
 
 

@@ -15,7 +15,7 @@ from .cubic import evaluate_grid
 from .errors import InvalidCanvas, InvalidInput
 from .hesse import hesse_form, j_of_k
 from .lattice import Lattice, reduced_basis, voronoi_cell
-from .march import implicit_curve, is_closed
+from .march import is_closed, marching_segments, stitch
 from .real_curves import _clip_line_to_window, canonical_picture
 from .standard import StandardCurve, j_invariant, triangle_shape
 
@@ -96,16 +96,12 @@ _PENCIL_DEFAULT_KS = (-2.0, -0.75, 0.0, 0.5, 2.0, 4.0)
 _PENCIL_GRID = 512
 
 
-def _disk_field(form):
-    def fn(u, v):
-        w2 = 1.0 - u * u - v * v
-        w = np.sqrt(np.where(w2 >= 0.0, w2, np.nan))
-        x = u * _Q1[0] + v * _Q2[0] + w * _Q3[0]
-        y = u * _Q1[1] + v * _Q2[1] + w * _Q3[1]
-        z = u * _Q1[2] + v * _Q2[2] + w * _Q3[2]
-        return evaluate_grid(form, x, y, z)
-
-    return fn
+def _disk_chart(u, v):
+    """The point (x, y, z) = u Q1 + v Q2 + w Q3 of the unit sphere, w >= 0,
+    seen at (u, v) of the disk; NaN outside the disk."""
+    w2 = 1.0 - u * u - v * v
+    w = np.sqrt(np.where(w2 >= 0.0, w2, np.nan))
+    return tuple(u * a + v * b + w * c for a, b, c in zip(_Q1, _Q2, _Q3))
 
 
 def _disk_coords(p3):
@@ -132,17 +128,23 @@ def render_pencil(spec: RenderSpec) -> str:
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(scale)}" '
         'fill="none" stroke="#888888" stroke-width="2"/>'
     )
+    # the chart does not depend on k: one for all members, on the grid of
+    # the square window, whose two axes are the same samples
+    axis = np.linspace(world[0], world[1], _PENCIL_GRID)
+    chart = _disk_chart(axis[None, :], axis[:, None])
+
+    def curves(k):
+        return stitch(marching_segments(axis, axis, evaluate_grid(hesse_form(k), *chart)))
+
     # the triangle member: three lines
-    tri = hesse_form(float("inf"))
-    for poly in implicit_curve(_disk_field(tri), world, _PENCIL_GRID):
+    for poly in curves(float("inf")):
         body.append(
             f'<path d="{_path(poly, to_px)}" fill="none" '
             'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="5,3"/>'
         )
     for idx, k in enumerate(ks):
-        form = hesse_form(k)
         color = _PALETTE[idx % len(_PALETTE)]
-        for poly in implicit_curve(_disk_field(form), world, _PENCIL_GRID):
+        for poly in curves(k):
             closed = is_closed(poly)
             body.append(
                 f'<path d="{_path(poly, to_px, close=closed)}" fill="none" '

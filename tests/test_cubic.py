@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cubica import cubic
 from cubica.cubic import (
     MONOMIALS,
     CubicForm,
@@ -76,27 +77,77 @@ def test_hessian_det_is_hessian_form_pointwise():
         assert _hessian_det(f.coeffs, p) == (h.evaluate(p), h.gradient(p))
 
 
-def test_evaluate_grid_matches_monomial_loop():
-    # the loop that recomputed every power per monomial, as the reference;
-    # computing each power once must not change a bit
-    def reference(form, x, y, z):
-        acc = np.zeros(np.broadcast(x, y, z).shape)
-        for (i, j, k), c in zip(MONOMIALS, form.coeffs):
-            if c == 0:
-                continue
-            acc = acc + float(c) * (x ** i) * (y ** j) * (z ** k)
-        return acc
+def _monomial_loop(coeffs, x, y, z):
+    """The form at one point, monomial by monomial, in the exact arithmetic
+    of the inputs' own type (Python ints or Fractions)."""
+    return sum(c * x ** i * y ** j * z ** k for (i, j, k), c in zip(MONOMIALS, coeffs))
 
+
+def _grids(shape, draw):
+    # full grids, a constant z, and broadcastable axes of a (4, 5) grid
+    x, y, z = draw(size=(3, *shape))
+    return ((x, y, z), (x, y, 1.0), (x[0, :5][None, :], y[:4, :1], z[0, 0]))
+
+
+def test_evaluate_grid_matches_monomial_loop():
+    # on integer samples |v| <= 20 with integer coefficients in -9..9 every
+    # product and partial sum is an integer below 2^53, so each float
+    # operation is exact and the grid must equal Python-int evaluation
     rng = np.random.default_rng(5)
-    x, y, z = rng.normal(size=(3, 40, 30))
-    x[rng.random(x.shape) < 0.1] = np.nan
+    for _ in range(30):
+        coeffs = [int(c) for c in rng.integers(-9, 10, size=10) * (rng.random(10) < 0.7)]
+        if not any(coeffs):
+            continue
+        form = CubicForm(tuple(coeffs))
+        for args in _grids((7, 6), lambda size: rng.integers(-20, 21, size=size).astype(float)):
+            got = evaluate_grid(form, *args)
+            pts = np.broadcast_arrays(*args)
+            want = np.vectorize(lambda a, b, c: float(_monomial_loop(coeffs, int(a), int(b), int(c))))(*pts)
+            assert np.array_equal(got, want)
+
+
+def test_evaluate_grid_rounding_against_fractions():
+    # on random floats, against the exact value of the same float inputs:
+    # each term takes at most 3 roundings and the sum 9 more, so the error
+    # stays below 8 eps times the sum of the terms' sizes; NaN holes stay NaN
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(7)
     for _ in range(20):
         cs = rng.normal(size=10) * (rng.random(10) < 0.7)
         if not cs.any():
             continue
         form = CubicForm(tuple(float(c) for c in cs))
-        for args in ((x, y, z), (x, y, 1.0), (x[0], y[:, :1], 0.5)):
-            assert np.array_equal(evaluate_grid(form, *args), reference(form, *args), equal_nan=True)
+        coeffs = [Fraction(float(c)) for c in cs]
+        sizes = [abs(c) for c in coeffs]
+        for args in _grids((6, 5), rng.normal):
+            args[0][rng.random(args[0].shape) < 0.2] = np.nan
+            got = evaluate_grid(form, *args)
+            pts = np.broadcast_arrays(*args)
+            for idx, g in np.ndenumerate(got):
+                a, b, c = (float(p[idx]) for p in pts)
+                if np.isnan(a):
+                    assert np.isnan(g)
+                    continue
+                a, b, c = Fraction(a), Fraction(b), Fraction(c)
+                exact = _monomial_loop(coeffs, a, b, c)
+                scale = _monomial_loop(sizes, abs(a), abs(b), abs(c))
+                assert abs(Fraction(float(g)) - exact) <= 8 * Fraction(eps) * scale
+
+
+def test_evaluate_grid_on_broadcast_axes_matches_meshgrid():
+    # a power of one coordinate computed on its axis is the same float as
+    # on the full grid, so broadcasting changes no bit
+    rng = np.random.default_rng(9)
+    xs, ys = np.sort(rng.normal(size=(2, 33)) * 3.0, axis=1)
+    gx, gy = np.meshgrid(xs, ys)
+    for _ in range(10):
+        form = CubicForm(tuple(float(c) for c in rng.normal(size=10)))
+        for z in (1.0, -0.75):
+            assert np.array_equal(evaluate_grid(form, xs[None, :], ys[:, None], z),
+                                  evaluate_grid(form, gx, gy, z))
+        gz = gx - gy
+        assert np.array_equal(evaluate_grid(form, xs[None, :], ys[:, None], xs[None, :] - ys[:, None]),
+                              evaluate_grid(form, gx, gy, gz))
 
 
 def _random_forms_and_maps(n=20, seed=15):
@@ -292,6 +343,26 @@ SMOOTH_EXACT = (
 @pytest.mark.parametrize("coeffs", SMOOTH_EXACT)
 def test_is_smooth_exact_curves(coeffs):
     assert is_smooth(CubicForm(coeffs))
+
+
+def test_exact_fallback_verdict_is_exact(monkeypatch):
+    # with the triangle construction failing, the fallback alone decides:
+    # exact input by is_smooth, not by the floating singular_points, which
+    # raises DegenerateForm on these smooth curves
+    def fail(form):
+        raise ConvergenceFailure("no triangle")
+
+    monkeypatch.setattr(cubic, "_pencil_triangles", fail)
+    for coeffs in SMOOTH_EXACT:
+        with pytest.raises(ConvergenceFailure):
+            find_flexes(CubicForm(coeffs))
+        with pytest.raises(ConvergenceFailure):
+            to_hesse(CubicForm(coeffs))
+    nodal = transform(NODAL, ProjMap(SINGULAR_MAPS[-1]))
+    with pytest.raises(SingularCurve):
+        find_flexes(nodal)
+    with pytest.raises(SingularCurve):
+        to_hesse(nodal)
 
 
 def test_is_smooth_false_on_vanishing_hessian():

@@ -79,6 +79,36 @@ def test_flex_base_test_on_exact_points_past_float_range():
     assert BasedGroup(curve, ProjPoint(0, 1, 0)).is_flex_based()
 
 
+# float curves with |b| of 3e6 to 1.8e8, reduced from random pencil members:
+# a doubling on the way to 37P meets a point near O (z about 1e-4), whose
+# tangent restriction has c2 of 1e-10 to 3e-8, far above its own rounding
+# but below 1e-14 times the largest coefficient of the form
+LARGE_B = (
+    (-47592.23309996749, 12802842.010725565,
+     (115.17572806156566 + 170.12752322740704j, 1613.079422658053 - 1937.3998592403857j)),
+    (-41173.12914585562, -3246273.572373419,
+     (-106.9866227741196 - 23.986284936299654j, 407.7704993168266 + 217.9409478430993j)),
+    (45962.845678816775 + 178943.61998801192j, 41554720.41163634 + 173621028.9117308j,
+     (-273.6424853948511 - 423.27055856101896j, 15460.604823293525 + 2779.5891928095684j)),
+)
+
+
+def sine(u, v):
+    """Sine of the angle between two complex triples, from their 2x2 minors."""
+    minors = sum(abs(u[i] * v[j] - u[j] * v[i]) ** 2 for i in range(3) for j in range(i + 1, 3))
+    return math.sqrt(minors) / math.sqrt(sum(abs(t) ** 2 for t in u) * sum(abs(t) ** 2 for t in v))
+
+
+@pytest.mark.parametrize("a, b, p", LARGE_B, ids=("reduce-6-344", "reduce-6-556", "reduce-7-139"))
+def test_float_multiples_on_curves_with_large_b(a, b, p):
+    curve = StandardCurve(a, b).cubic_form()
+    got = multiply(BasedGroup(curve, ProjPoint(0, 1, 0)), 37, affine_point(curve, *p))
+    want = None
+    for _ in range(37):
+        want = affine_add(a, want, p)
+    assert sine([complex(t) for t in got.point.coords], (*want, 1)) <= 1e-6
+
+
 def test_projection_of_a_tiny_point():
     # a point 1e-6 off the curve, with coordinates of size 1e-8, where the
     # gradient's squared norm is 6e-31: the projection sees the point

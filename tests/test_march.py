@@ -5,7 +5,8 @@ import pytest
 
 from cubica.hesse import hesse_form
 from cubica.march import implicit_curve, is_closed, marching_segments, stitch
-from cubica.render import _disk_field
+from cubica.cubic import evaluate_grid
+from cubica.render import _disk_chart
 
 
 def test_circle_closes():
@@ -23,6 +24,18 @@ def test_line_stays_open():
                            (-1, 1, -1, 1), 101)
     assert len(polys) == 1
     assert not is_closed(polys[0])
+
+
+def test_field_of_one_axis_is_broadcast():
+    # y - 0.25 has shape (resolution, 1); the grid spreads it over x
+    xs = np.linspace(-1, 1, 41)
+    polys = implicit_curve(lambda x, y: y - 0.25, (-1, 1, -1, 1), 41)
+    assert len(polys) == 1
+    (poly,) = polys
+    assert not is_closed(poly)
+    assert sorted(x for x, _ in poly) == xs.tolist()
+    assert all(abs(y - 0.25) < 1e-12 for _, y in poly)
+    assert implicit_curve(lambda x, y: 1.0, (-1, 1, -1, 1), 41) == []
 
 
 def test_nan_mask_clips_domain():
@@ -168,7 +181,7 @@ def test_matches_scalar_loop_on_pencil_member():
     window, resolution = (-1.12, 1.12, -1.12, 1.12), 512
     xs = np.linspace(window[0], window[1], resolution)
     ys = np.linspace(window[2], window[3], resolution)
-    vals = _disk_field(hesse_form(-2.0))(*np.meshgrid(xs, ys))
+    vals = evaluate_grid(hesse_form(-2.0), *_disk_chart(xs[None, :], ys[:, None]))
     segs = marching_segments(xs, ys, vals)
     expected = _scalar_segments(xs, ys, vals)
     assert len(segs) > 500
