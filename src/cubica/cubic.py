@@ -26,7 +26,7 @@ from .errors import (
     SingularCurve,
 )
 from .projective import (
-    ProjLine, ProjMap, ProjPoint, _flat_proportional, _integer_adjugate, _normalize, proj_distance,
+    _PIVOT_TIE, ProjLine, ProjMap, ProjPoint, _flat_proportional, _integer_adjugate, _normalize, proj_distance,
 )
 from .scalars import _integral, all_exact, collapse, is_exact, poly_roots, scalar_from_json, scalar_to_json
 
@@ -455,77 +455,116 @@ def _ratio_candidates(res_poly, total_degree):
 # flexes: the four triangles of the pencil <F, H(F)>
 # ---------------------------------------------------------------------------
 
+# the third partials f_abi of a cubic are linear in its coefficients:
+# column 9a + 3b + i of this integer matrix maps the 10 coefficients to f_abi
+_THIRD = np.array([
+    np.array(_second_partials(e))[[0, 1, 2, 1, 3, 4, 2, 4, 5]].ravel() for e in np.eye(10, dtype=int)
+])
+# entry 3i + j of the cofactor matrix of a flattened 3 x 3 matrix m is
+# m[A] m[B] - m[C] m[D], for the rows A, B, C, D of this table
+_COFACTOR = np.array([
+    [3 * ((i + u) % 3) + (j + v) % 3 for i in range(3) for j in range(3)]
+    for u, v in ((1, 1), (2, 2), (1, 2), (2, 1))
+])
+# the index shifts of a cross product
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
-def _solve2(a11, a12, a21, a22, b1, b2):
-    det = a11 * a22 - a12 * a21
-    if abs(det) < 1e-300:
-        return None
-    return ((b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det)
+
+def _third_partials(c):
+    """The constant third partials f_abi of the cubics with coefficients c
+    (..., 10), as (..., 9, 3) arrays: row 3a + b, column i."""
+    return (np.asarray(c) @ _THIRD).reshape(np.shape(c)[:-1] + (9, 3))
 
 
-def _hessian_det(c, point):
-    """det M of the matrix M of second partials of the form with
-    coefficients c at the point, and its gradient tr(adj M . M_i), where
-    M_i is the constant matrix of third partials f_{ab i}.
+def _cross(u, v):
+    """Cross products along the last axis."""
+    return u.take(_NEXT, -1) * v.take(_PREV, -1) - u.take(_PREV, -1) * v.take(_NEXT, -1)
+
+
+# a @ _CROSS_UNIT[k] is the cross product of a with the unit vector e_k
+_CROSS_UNIT = _cross(np.eye(3)[None], np.eye(3)[:, None])
+
+
+def _at_points(t, pts):
+    """(value, gradient, second partials) at each row of pts (..., n, 3) of
+    the cubic with third partials t (..., 9, 3); the second partials are
+    the symmetric matrix M, flattened to 9 entries.
+
+    M = sum_i p_i t[:, i], and by Euler's relation for homogeneous forms
+    the gradient is M p / 2 and the value p . gradient / 3.
+    """
+    m = pts @ t.swapaxes(-1, -2)
+    g = (m.reshape(m.shape[:-1] + (3, 3)) @ pts[..., None])[..., 0] / 2
+    return (g * pts).sum(axis=-1) / 3, g, m
+
+
+def _hessian_det(t, m):
+    """det M at each point and its gradient tr(adj M . M_i), for the
+    flattened second partials m of _at_points and the third partials t,
+    whose column i is the constant matrix M_i.
 
     This is the Hessian form at the point, without expanding the Hessian's
     coefficients, which lose digits to cancellation on an ill-conditioned
     form.
     """
-    m = _second_partials_at(c, point)
-    axx, axy, axz, ayy, ayz, azz = _sym_adjugate(*m)
-    det = m[0] * axx + m[1] * axy + m[2] * axz
-    gx = 6 * c[0] * axx + 2 * c[3] * ayy + 2 * c[5] * azz + 4 * c[1] * axy + 4 * c[2] * axz + 2 * c[4] * ayz
-    gy = 2 * c[1] * axx + 6 * c[6] * ayy + 2 * c[8] * azz + 4 * c[3] * axy + 2 * c[4] * axz + 4 * c[7] * ayz
-    gz = 2 * c[2] * axx + 2 * c[7] * ayy + 6 * c[9] * azz + 2 * c[4] * axy + 4 * c[5] * axz + 4 * c[8] * ayz
-    return det, (gx, gy, gz)
+    a, b, c, d = (m.take(i, -1) for i in _COFACTOR)
+    adj = a * b - c * d  # M is symmetric, so its cofactor matrix is adj M
+    return (m[..., :3] * adj[..., :3]).sum(axis=-1), adj @ t
 
 
-def _polish_flex(f: CubicForm, hessian_at, coords, iters: int = 16):
-    """Newton iteration for a flex near coords: f = 0 and h = 0, h the
-    Hessian form of f scaled to unit largest coefficient, whose value and
-    gradient at a point hessian_at gives."""
-    p = [complex(c) for c in coords]
-    top = max(abs(c) for c in p)
-    p = [c / top for c in p]
-    pivot = max(range(3), key=lambda i: abs(p[i]))
-    free = [i for i in range(3) if i != pivot]
-    fv, (hv, gh) = f.evaluate(p), hessian_at(p)
-    best = list(p)
-    best_r = max(abs(fv), abs(hv))
-    stall = 0
-    for _ in range(iters):
-        gf = f.gradient(p)
-        step = _solve2(
-            gf[free[0]], gf[free[1]], gh[free[0]], gh[free[1]], fv, hv
-        )
-        if step is None:
+def _polish_flexes(at, pts):
+    """Newton iteration for flexes near the rows of pts, all at once: f = 0
+    and h = 0, h the Hessian form of f scaled to unit largest coefficient,
+    where at(p) gives f, grad f, h and grad h at the rows of p.
+
+    Each point is scaled to largest coordinate 1, keeps that coordinate
+    fixed and stops on its own: when its step is singular, after two steps
+    that do not improve its best residual max(|f|, |h|), or once that is
+    below 1e-14, and after 16 steps at most.  Returns each point's best
+    coordinates and residual.
+    """
+    p = pts / np.abs(pts).max(axis=1, keepdims=True)
+    turn = _CROSS_UNIT[np.abs(p).argmax(axis=1)]
+    fv, gf, hv, gh = at(p)
+    best, best_r = p, np.maximum(np.abs(fv), np.abs(hv))
+    stall = np.zeros(len(p))
+    live = np.ones(len(p), bool)
+    for _ in range(16):
+        # the step d with grad f . d = f, grad h . d = h and no move in the
+        # fixed coordinate e, by Cramer's rule:
+        # d = ((f grad h - h grad f) x e) / det(grad f, grad h, e)
+        det = ((gh[:, None] @ turn)[:, 0] * gf).sum(axis=1)
+        live &= np.abs(det) >= 1e-300
+        if not live.any():
             break
-        p[free[0]] -= step[0]
-        p[free[1]] -= step[1]
-        fv, (hv, gh) = f.evaluate(p), hessian_at(p)
-        r = max(abs(fv), abs(hv))
-        if r < best_r:
-            best, best_r = list(p), r
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 2:
-                break
-        if best_r < 1e-14:
+        w = fv[:, None] * gh - hv[:, None] * gf
+        step = (w[:, None] @ turn)[:, 0] / np.where(live, det, 1.0)[:, None]
+        p = np.where(live[:, None], p - step, p)
+        fv, gf, hv, gh = at(p)
+        r = np.maximum(np.abs(fv), np.abs(hv))
+        better = live & (r < best_r)
+        best = np.where(better[:, None], p, best)
+        best_r = np.where(better, r, best_r)
+        stall = np.where(better, 0, stall + live)
+        live &= (stall < 2) & (best_r >= 1e-14)
+        if not live.any():
             break
-    return tuple(best), best_r
+    return best, best_r
 
 
 @dataclass(frozen=True)
 class FlexSet:
     """The nine flexes of a smooth cubic, with polish residuals.
 
-    The residual of a flex is max(|f(p)|, |h(p)|) at the point p scaled to
-    largest coordinate 1, where f is the form and h its Hessian form, both
-    scaled to unit largest coefficient.  On floating input h(p) is
-    evaluated as the determinant of the second partials of f at p (see
-    _hessian_det), on exact input from h's exactly expanded coefficients.
+    The points are in _point_sort_key order, each in the projective normal
+    form of ProjPoint.normalized: the first coordinate within 1e-12 of the
+    largest is exactly 1, and the coordinates are real floats when every
+    imaginary part is exactly 0.  The residual of a flex
+    is max(|f(p)|, |h(p)|) at the point p scaled to largest coordinate 1,
+    where f is the form and h its Hessian form, both scaled to unit largest
+    coefficient.  On floating input h(p) is evaluated as the determinant of
+    the second partials of f at p (see _hessian_det), on exact input from
+    h's exactly expanded coefficients.
     """
 
     points: tuple
@@ -545,15 +584,25 @@ class FlexSet:
         return self.points[i]
 
 
+def _coords_key(coords):
+    """Sort keys of rows of normalized complex coordinates (n, 3): real and
+    imaginary parts rounded to 9 decimals, without signed zeros."""
+    return list(map(tuple, (np.round(coords.view(float), 9) + 0.0).tolist()))
+
+
 def _point_sort_key(p: ProjPoint):
-    n = p.normalized().to_complex()
-    return tuple((round(c.real, 9) + 0.0, round(c.imag, 9) + 0.0) for c in n)
+    return _coords_key(np.array([p.normalized().to_complex()]))[0]
 
 
 # two points spanning a fixed general line.  It meets a triangle in three
 # points, one on each side, where the gradient of the triangle is that side.
 # The points are real, so the sides of a real triangle come out real.
 _SPLIT_LINE = ((1.0, 0.3183, -0.5772), (-0.2718, 1.0, 0.4142))
+# the restriction c0 + c1 s + c2 s^2 + c3 s^3 of a cubic to the line,
+# s -> p + s q, is linear in the cubic's coefficients: row m is monomial m's
+_SPLIT_RESTRICTION = np.array([
+    restrict_to_line(CubicForm(tuple(e)), *(ProjPoint(*v) for v in _SPLIT_LINE)) for e in np.eye(10)
+])
 
 # Sides real to this tolerance (after scaling their largest entry to 1) are
 # made real, so that a real triangle gives a real map.
@@ -569,11 +618,9 @@ _REAL_SIDE_TOL = 1e-6
 _FLEX_SEPARATION = 1e-3
 
 
-def _side(g):
-    """A line scaled to largest entry 1, with real entries when it is real."""
-    g = g / g[np.argmax(np.abs(g))]
-    real = np.abs(g.imag).max() <= _REAL_SIDE_TOL
-    return tuple(float(v.real) if real else complex(v) for v in g)
+# 3^6 5^3 / |p|^6 for the ten points p, an integer: |f(p)|^2 times it
+# orders the points as |f(p)| / |p|^3 does, exactly on exact input
+_WEIGHTS = {q: 91125 // sum(v * v for v in q) ** 3 for q in MONOMIALS}
 
 
 def _invariants_at_point(c, hc):
@@ -583,7 +630,7 @@ def _invariants_at_point(c, hc):
     # the ten points (i, j, k), i + j + k = 3, have an evaluation matrix of
     # rank 10, so f vanishes at no more than nine of them; the largest
     # |f(p)| / |p|^3 is the best conditioned divisor
-    p = max(MONOMIALS, key=lambda q: abs(f.evaluate(q)) ** 2 / Fraction(sum(v * v for v in q) ** 3))
+    p = max(MONOMIALS, key=lambda q: abs(f.evaluate(q)) ** 2 * _WEIGHTS[q])
     fp, hp = f.evaluate(p), h.evaluate(p)
     mf, mh = _second_partials_at(c, p), _second_partials_at(hc, p)
     s1 = _trace_product(_sym_adjugate(*mf), mh)
@@ -636,10 +683,21 @@ def _pencil_triangles(form: CubicForm):
     once, exactly on the integer representative of exact input: in floats,
     cancellation can cost an ill-conditioned form most of its digits.
 
-    The meets of the sides of two triangles, polished by Newton on f = 0
-    and h = 0 (_polish_flex), are the flexes; every side is then refit
-    through the three flexes nearest to it.  Returns (triangles, flexes), each triangle the
-    three rows of its sides, best conditioned first.
+    The rest is array work over all members and points at once.  A member's
+    restriction to _SPLIT_LINE is the same combination of f's and h's; the
+    roots of the four come from one stacked eigenvalue call on companion
+    matrices and one Newton step, and the members' gradients there are
+    their sides.  Triangles go best conditioned first; two whose condition
+    numbers agree to 1e-9, as the complex-conjugate pair of a real curve
+    does, go in order of decreasing imaginary part of their t.  The nine
+    meets of the sides of two triangles, polished together by Newton on
+    f = 0 and h = 0 (_polish_flexes), are the flexes, taken from the first
+    pair whose meets polish to nine distinct points; each is normalized
+    once, as ProjPoint.normalized does, and sorted by the rounding of
+    _point_sort_key.  Every side is then refit through the three flexes
+    nearest to it, as the largest cross product of two of them.  Returns
+    (triangles, flexes), each triangle the three rows of its sides, best
+    conditioned first.
     """
     if form.is_exact:
         c = _integral(form.coeffs)[0]
@@ -652,65 +710,89 @@ def _pencil_triangles(form: CubicForm):
     h_top = max(abs(v) for v in hc)
     # f and h scaled to unit largest coefficient, with the invariants of
     # the pair f + t h in that scaling
-    f = CubicForm(tuple(complex(v / top) for v in c))
-    h = CubicForm(tuple(complex(v / h_top) for v in hc))
-    fc, hc = np.array(f.coeffs), np.array(h.coeffs)
+    pair = np.array([[complex(v / top) for v in c], [complex(v / h_top) for v in hc]])
     sigma, tau = complex(sigma * top ** 2 / h_top ** 2), complex(tau * top ** 3 / h_top ** 3)
+    third = _third_partials(pair)
     if form.is_exact:
         # h's exact coefficients, rounded once, lose fewer digits than the
         # determinant of f's rounded second partials
-        def hessian_at(p):
-            return h.evaluate(p), h.gradient(p)
+        def at(p):
+            (fv, hv), (gf, gh), _ = _at_points(third, p)
+            return fv, gf, hv, gh
     else:
         h_scale = h_top / top ** 3  # the largest coefficient of the Hessian of f
+        tf = third[0]
 
-        def hessian_at(p):
-            v, g = _hessian_det(f.coeffs, p)
-            return v / h_scale, tuple(x / h_scale for x in g)
+        def at(p):
+            fv, gf, m = _at_points(tf, p)
+            hv, gh = _hessian_det(tf, m)
+            return fv, gf, hv / h_scale, gh / h_scale
 
-    sv = np.linalg.svd(np.array([fc, hc]), compute_uv=False)
+    sv = np.linalg.svd(pair, compute_uv=False)
     if sv[1] <= 1e-9 * sv[0]:
         raise ConvergenceFailure("the Hessian is proportional to the form")
     roots = poly_roots((sigma ** 2 / 3, 4 * tau / 3, 2 * sigma, 0, -1))
-    members = [(1, t) if abs(t) <= 1 else (1 / t, 1) for t in roots]
-    members += [(0, 1)] * (4 - len(roots))
-    p, q = (np.array(v) for v in _SPLIT_LINE)
-    split = []
-    for lam, mu in members:
-        tri = CubicForm(tuple(complex(v) for v in lam * fc + mu * hc))
-        c0, c1, c2, c3 = restrict_to_line(tri, ProjPoint(*p), ProjPoint(*q))
-        ss = poly_roots((c3, c2, c1, c0))
-        sides = np.array([tri.gradient(p + s * q) for s in ss] + [tri.gradient(q)] * (3 - len(ss)))
-        sides /= np.linalg.norm(sides, axis=1)[:, None]
-        cond = abs(np.linalg.det(sides))
-        if cond > 1e-9:
-            split.append((cond, sides))
-    split.sort(key=lambda t: -t[0])
+    members = np.array([(1, t) if abs(t) <= 1 else (1 / t, 1) for t in roots] + [(0, 1)] * (4 - len(roots)))
+    # each member's restriction c0 + c1 s + c2 s^2 + c3 s^3 to the split
+    # line, s -> p + s q, is the same combination of f's and h's; its roots
+    # are the eigenvalues of its companion matrix, each polished by one
+    # Newton step (c3 vanishes only on a member through q, and eigvals then
+    # raises)
+    r = members @ (pair @ _SPLIT_RESTRICTION)
+    companion = np.zeros((len(r), 3, 3), complex)
+    companion[:, 0] = -r[:, 2::-1] / r[:, 3:]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1
+    s = np.linalg.eigvals(companion)
+    c0, c1, c2, c3 = (r[:, i, None] for i in range(4))
+    s = s - (((c3 * s + c2) * s + c1) * s + c0) / ((3 * c3 * s + 2 * c2) * s + c1)
+    p, q = np.array(_SPLIT_LINE)
+    sides = _at_points(_third_partials(members @ pair), p + s[..., None] * q)[1]
+    sides /= np.linalg.norm(sides, axis=-1, keepdims=True)
+    cond = np.abs(np.linalg.det(sides))
+    # best conditioned first; conditions equal to 1e-9, as those of the
+    # conjugate pair of a real curve are, go by decreasing Im t
+    tie = [-t.imag for t in roots] + [0.0] * (4 - len(roots))
+    split = sides[[i for i in np.lexsort((tie, -cond.round(9))) if cond[i] > 1e-9]]
     # a split point near a vertex spoils its sides, so take the first pair
     # of triangles whose nine meets polish to nine distinct flexes
-    for (_, s0), (_, s1) in itertools.combinations(split, 2):
-        found = [_polish_flex(f, hessian_at, c) for c in np.cross(s0[:, None], s1[None]).reshape(9, 3)]
-        if not all(r < 1e-8 for _, r in found):
+    for i, j in itertools.combinations(range(len(split)), 2):
+        meets = _cross(split[i][:, None], split[j][None]).reshape(9, 3)
+        if not meets.any(axis=1).all():
+            continue  # two sides coincide
+        pts, res = _polish_flexes(at, meets)
+        if not (res < 1e-8).all():
             continue
-        found.sort(key=lambda t: _point_sort_key(ProjPoint(*t[0])))
-        pts = np.array([c for c, _ in found])
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
-        cos = np.abs(pts.conj() @ pts.T) - 2 * np.eye(9)
+        unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        cos = np.abs(unit.conj() @ unit.T) - 2 * np.eye(9)
         if np.sqrt(max(0.0, 1 - cos.max() ** 2)) > _FLEX_SEPARATION:
             break
     else:
         raise ConvergenceFailure("no two triangles meet in nine distinct flexes")
-    flexes = FlexSet(
-        tuple(ProjPoint(*c).normalized() for c, _ in found), tuple(r for _, r in found)
-    )
-    # every side is the null vector of the three flexes nearest to it; a
-    # triangle whose sides do not share out the nine flexes is dropped
-    triangles = []
-    for _, sides in split:
-        near = np.argsort(np.abs(sides @ pts.T), axis=1)[:, :3]
-        if sorted(near.ravel()) == list(range(9)):
-            null = np.linalg.svd(pts[near])[2][:, -1].conj()
-            triangles.append(tuple(_side(g) for g in null))
+    # each flex in the normal form of ProjPoint.normalized
+    rows = np.arange(9)
+    mags = np.abs(pts)
+    pivot = (mags >= (1 - _PIVOT_TIE) * mags.max(axis=1, keepdims=True)).argmax(axis=1)
+    normal = pts / pts[rows, pivot][:, None]
+    normal[rows, pivot] = 1
+    real = (normal.imag == 0).all(axis=1)
+    coords = [r if real[i] else c for i, (r, c) in enumerate(zip(normal.real.tolist(), normal.tolist()))]
+    keys = _coords_key(normal)
+    order = sorted(range(9), key=keys.__getitem__)
+    flexes = FlexSet(tuple(ProjPoint(*coords[i]) for i in order), tuple(res[order].tolist()))
+    # every side is refit through the three flexes nearest to it: each row
+    # of the adjugate of their matrix, the cross product of two of them, is
+    # a multiple of the side, and the largest is taken; a triangle whose
+    # sides do not share out the nine flexes is dropped
+    near = np.argsort(np.abs(split @ unit.T), axis=-1)[..., :3]
+    shares = (np.sort(near.reshape(-1, 9), axis=1) == rows).all(axis=1)
+    three = unit[near[shares]].reshape(-1, 3, 3)
+    cof = _cross(three.take(_NEXT, 1), three.take(_PREV, 1))
+    null = cof[np.arange(len(cof)), (np.abs(cof) ** 2).sum(axis=2).argmax(axis=1)]
+    # each side scaled to largest entry 1, with real entries when it is real
+    null /= null[np.arange(len(null)), np.abs(null).argmax(axis=1)][:, None]
+    real = np.abs(null.imag).max(axis=1) <= _REAL_SIDE_TOL
+    sides = [tuple((g.real if r else g).tolist()) for g, r in zip(null, real)]
+    triangles = [tuple(sides[i:i + 3]) for i in range(0, len(sides), 3)]
     return triangles, flexes
 
 
@@ -857,6 +939,13 @@ def _hesse_singular_points(k):
             pts.append(p)
     pts.sort(key=_point_sort_key)
     return pts
+
+
+def _solve2(a11, a12, a21, a22, b1, b2):
+    det = a11 * a22 - a12 * a21
+    if abs(det) < 1e-300:
+        return None
+    return ((b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det)
 
 
 def _gn_polish(form: CubicForm, coords, iters=14):

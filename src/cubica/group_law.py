@@ -97,7 +97,8 @@ def affine_point(curve: CubicForm, x, y) -> CurvePoint:
 
 
 def _same_curve(p: CurvePoint, q: CurvePoint):
-    if p.curve != q.curve:
+    # most calls pass points of one form object: no coefficient test then
+    if p.curve is not q.curve and p.curve != q.curve:
         raise InvalidInput("points lie on different curves")
 
 

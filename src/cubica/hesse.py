@@ -429,7 +429,7 @@ def to_hesse(form: CubicForm, canonical: bool = False):
     Each triangle of the pencil spanned by the form and its Hessian gives
     such an A (see _triangle_map); the one whose image is closest to a
     member of the pencil wins.  Its sides pass through flexes polished on
-    the form itself (see cubic._polish_flex), so one pass is enough.
+    the form itself (see cubic._polish_flexes), so one pass is enough.
     Real cube roots keep a real triangle's map, and its k, real.
 
     With canonical=True, k is moved to its tetrahedral-orbit representative

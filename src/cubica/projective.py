@@ -4,7 +4,8 @@ Coordinates are scalars in the sense of cubica.scalars: exact (int,
 Fraction) or floating (float, complex).  Equality is always projective,
 i.e. up to a global nonzero factor, and works through a normal form:
 exact triples are scaled to coprime integers with the first nonzero entry
-positive, floating triples are scaled so the largest-magnitude entry is 1.
+positive, floating triples are scaled so the first entry within 1e-12 of
+the largest magnitude is 1.
 """
 from __future__ import annotations
 
@@ -16,6 +17,11 @@ from .errors import CoincidentPoints, InvalidInput, SingularMap
 from .scalars import Scalar, _integral, all_exact, scalar_from_json, scalar_to_json
 
 _DET_TOL = 1e-12
+# a floating coordinate within this relative distance of the largest ties
+# with it, and the first of tied coordinates is the pivot of the normal
+# form: coordinates of equal size, as on symmetric curves, then keep the
+# first as pivot whatever their last bits
+_PIVOT_TIE = 1e-12
 
 
 def _normalize(coords):
@@ -33,7 +39,8 @@ def _normalize(coords):
         return tuple(ints)
     cs = [complex(c) for c in coords]
     mags = [abs(c) for c in cs]
-    pivot = mags.index(max(mags))
+    cut = (1 - _PIVOT_TIE) * max(mags)
+    pivot = next(i for i, m in enumerate(mags) if m >= cut)
     div = cs[pivot]
     out = []
     for i, c in enumerate(cs):

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -8,8 +9,15 @@ from cubica import cubic
 from cubica.cubic import (
     MONOMIALS,
     CubicForm,
+    _at_points,
     _hessian_det,
     _invariants,
+    _polish_flexes,
+    _second_partials,
+    _second_partials_at,
+    _sym_adjugate,
+    _third_partials,
+    _trace_product,
     evaluate_grid,
     find_flexes,
     flex_defect,
@@ -64,17 +72,70 @@ def test_hessian_cuspidal_frozen():
 
 
 def test_hessian_det_is_hessian_form_pointwise():
-    # exact arithmetic: the pointwise determinant and its gradient equal the
-    # expanded Hessian form and its gradient
+    # exact arithmetic on object arrays, four points at once: the value and
+    # gradient of the batch equal the form's own, and the pointwise
+    # determinant and its gradient the expanded Hessian form and its gradient
     rng = random.Random(11)
     for _ in range(30):
-        f = CubicForm(tuple(rng.randint(-5, 5) for _ in range(10)))
-        p = tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(3))
+        f = CubicForm(tuple(Fraction(rng.randint(-5, 5)) for _ in range(10)))
+        pts = [[Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(3)] for _ in range(4)]
         try:
             h = f.hessian()
         except DegenerateForm:
             continue
-        assert _hessian_det(f.coeffs, p) == (h.evaluate(p), h.gradient(p))
+        t = _third_partials(np.array(f.coeffs, dtype=object))
+        value, grad, m = _at_points(t, np.array(pts, dtype=object))
+        det, det_grad = _hessian_det(t, m)
+        for i, p in enumerate(pts):
+            assert (value[i], tuple(grad[i])) == (f.evaluate(p), f.gradient(p))
+            assert (det[i], tuple(det_grad[i])) == (h.evaluate(p), h.gradient(p))
+
+
+def _scalar_hessian_det(c, p, size=False):
+    """det M and its gradient tr(adj M . M_i) at p from the scalar kernel,
+    M the second partials; with size=True the same sums taken over the
+    absolute values of their terms."""
+    if size:
+        c, p = [abs(v) for v in c], [abs(v) for v in p]
+    m = _second_partials_at(c, p)
+    xx, xy, xz, yy, yz, zz = m
+    adj = (
+        yy * zz + yz * yz, xz * yz + xy * zz, xy * yz + xz * yy,
+        xx * zz + xz * xz, xy * xz + xx * yz, xx * yy + xy * xy,
+    ) if size else _sym_adjugate(*m)
+    det = m[0] * adj[0] + m[1] * adj[1] + m[2] * adj[2]
+    return det, tuple(_trace_product(adj, [lin[i] for lin in _second_partials(c)]) for i in range(3))
+
+
+def test_batched_evaluation_matches_scalar_kernel():
+    # at random complex points, against CubicForm.evaluate, gradient and the
+    # scalar determinant of the second partials: within 8 ulps of the sum
+    # of the sizes of each sum's terms, on random complex and real forms and
+    # on exact forms rounded to complex
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(23)
+    forms = [rng.normal(size=10) + 1j * rng.normal(size=10) for _ in range(10)]
+    forms += [rng.normal(size=10) * 10.0 ** rng.integers(-3, 4, size=10) for _ in range(10)]
+    forms += [[complex(Fraction(int(a), int(b))) for a, b in zip(rng.integers(-9, 10, 10), rng.integers(1, 8, 10))]
+              for _ in range(10)]
+    worst = 0.0
+    for c in forms:
+        c = [complex(v) for v in c]
+        f, fa = CubicForm(tuple(c)), CubicForm(tuple(abs(v) for v in c))
+        pts = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        t = _third_partials(np.array(c))
+        value, grad, m = _at_points(t, pts)
+        det, det_grad = _hessian_det(t, m)
+        for i, p in enumerate(pts.tolist()):
+            pa = [abs(v) for v in p]
+            pairs = [(value[i], f.evaluate(p), fa.evaluate(pa))]
+            pairs += zip(grad[i], f.gradient(p), fa.gradient(pa))
+            want, want_grad = _scalar_hessian_det(c, p)
+            size, size_grad = _scalar_hessian_det(c, p, size=True)
+            pairs += [(det[i], want, size)] + list(zip(det_grad[i], want_grad, size_grad))
+            for got, want, size in pairs:
+                worst = max(worst, abs(got - want) / (eps * size))
+    assert worst <= 8
 
 
 def _monomial_loop(coeffs, x, y, z):
@@ -276,6 +337,110 @@ def test_invariants_transform_weights():
         s_image, u_image = _invariants(transform(f, a))
         assert s_image == Fraction(s) / a.det() ** 4
         assert u_image == Fraction(u) / a.det() ** 6
+
+
+def _pencil_members_under_maps():
+    """(k, rows): the ill-conditioned cases of the Hesse tests, then 20
+    seeded pencil members, real and complex in turn, under random real maps
+    of condition number below 100."""
+    from test_hesse import ILL_CONDITIONED
+
+    rng = np.random.default_rng(19)
+    cases = list(ILL_CONDITIONED)
+    while len(cases) < len(ILL_CONDITIONED) + 20:
+        k = rng.uniform(-3, 4) if len(cases) % 2 else complex(*rng.uniform(-2, 2, size=2))
+        rows = rng.normal(size=(3, 3))
+        if abs(k ** 3 - 1) > 0.2 and np.linalg.cond(rows) < 100:
+            cases.append((k, tuple(map(tuple, rows.tolist()))))
+    return cases
+
+
+@pytest.mark.parametrize("k, rows", _pencil_members_under_maps())
+def test_pencil_triangles_flexes_and_sides(k, rows):
+    form = transform(hesse_form(k), ProjMap(rows))
+    triangles, flexes = cubic._pencil_triangles(form)
+    pts = flexes.points
+    keys = [cubic._point_sort_key(p) for p in pts]
+    assert keys == sorted(keys)
+    for p in pts:
+        # in normal form already: the same values of the same types
+        n = p.normalized().coords
+        assert n == p.coords and list(map(type, n)) == list(map(type, p.coords))
+    flex_rows = np.array([p.coords for p in pts], complex)
+    flex_rows /= np.linalg.norm(flex_rows, axis=1)[:, None]
+    assert len(triangles) >= 2
+    for sides in triangles:
+        g = np.array(sides, complex)
+        g /= np.linalg.norm(g, axis=1)[:, None]
+        on = np.abs(g @ flex_rows.T) <= 1e-9
+        assert list(on.sum(axis=1)) == [3, 3, 3]
+        assert list(on.sum(axis=0)) == [1] * 9
+    if not isinstance(k, complex):
+        assert sum(all(isinstance(v, float) for side in sides for v in side) for sides in triangles) == 1
+    again = cubic._pencil_triangles(form)
+    assert again[0] == triangles
+    assert [p.coords for p in again[1].points] == [p.coords for p in pts]
+    assert again[1].residuals == flexes.residuals
+
+
+def _scalar_polish(f, h, coords, iters=16):
+    """Newton on f = 0 and h = 0 from one point, one point at a time: the
+    loop _polish_flexes replaced, kept as its reference."""
+    p = [complex(c) for c in coords]
+    top = max(abs(c) for c in p)
+    p = [c / top for c in p]
+    pivot = max(range(3), key=lambda i: abs(p[i]))
+    a, b = [i for i in range(3) if i != pivot]
+    fv, hv, gh = f.evaluate(p), h.evaluate(p), h.gradient(p)
+    best, best_r, stall = list(p), max(abs(fv), abs(hv)), 0
+    for _ in range(iters):
+        gf = f.gradient(p)
+        det = gf[a] * gh[b] - gf[b] * gh[a]
+        if abs(det) < 1e-300:
+            break
+        p[a] -= (fv * gh[b] - hv * gf[b]) / det
+        p[b] -= (gf[a] * hv - gh[a] * fv) / det
+        fv, hv, gh = f.evaluate(p), h.evaluate(p), h.gradient(p)
+        r = max(abs(fv), abs(hv))
+        if r < best_r:
+            best, best_r, stall = list(p), r, 0
+        else:
+            stall += 1
+            if stall >= 2:
+                break
+        if best_r < 1e-14:
+            break
+    return best, best_r
+
+
+def test_polish_flexes_matches_scalar_loop():
+    # from the images of the base points moved by 1e-7, every point of the
+    # batch ends where the one-point loop ends, up to rounding: within
+    # 1e-10, where the ill-conditioned maps leave flexes 2e-11 to 4e-11
+    # from the exact ones
+    rng = np.random.default_rng(29)
+    omega = cmath.exp(2j * cmath.pi / 3)
+    base = [p for w in (1, omega, omega ** 2) for p in ((0, 1, -w), (1, 0, -w), (1, -w, 0))]
+    worst = 0.0
+    for k, rows in _pencil_members_under_maps():
+        form = transform(hesse_form(k), ProjMap(rows)).coeffs
+        f = CubicForm(tuple(complex(c) / max(abs(c) for c in form) for c in form))
+        hc = f.hessian().coeffs
+        h = CubicForm(tuple(c / max(abs(c) for c in hc) for c in hc))
+        start = np.array([ProjMap(rows).apply(ProjPoint(*p)).coords for p in base], complex)
+        start += 1e-7 * (rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3)))
+        third = _third_partials(np.array([f.coeffs, h.coeffs]))
+
+        def at(p):
+            (fv, hv), (gf, gh), _ = _at_points(third, p)
+            return fv, gf, hv, gh
+
+        pts, res = _polish_flexes(at, start)
+        for p, r, s in zip(pts, res, start):
+            want, want_r = _scalar_polish(f, h, s)
+            worst = max(worst, proj_distance(ProjPoint(*p), ProjPoint(*want)))
+            assert r < 1e-13 and want_r < 1e-13
+    assert worst < 1e-10
 
 
 def test_find_flexes_fermat():

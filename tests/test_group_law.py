@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubica.cubic import find_flexes
+from cubica.cubic import CubicForm, find_flexes
 from cubica.errors import InvalidInput, NonFlexBase
 from cubica.group_law import (
     BasedGroup,
@@ -124,6 +124,19 @@ def test_projection_of_a_tiny_point():
 def test_membership_enforced():
     with pytest.raises(InvalidInput):
         curve_point(C1, (5, 5, 1))
+
+
+def test_chord_accepts_points_on_proportional_forms():
+    # a multiple of the form is the same curve; y^2 = x^3 + x + 1 is not,
+    # though it passes through (0, 1) as well
+    p = affine_point(C1, 2, 3)
+    doubled = CubicForm(tuple(2 * c for c in C1.coeffs))
+    r = chord_tangent(p, affine_point(doubled, 0, 1))
+    assert r.point == ProjPoint(-1, 0, 1)
+    assert r.is_exact
+    other = StandardCurve(1, 1).cubic_form()
+    with pytest.raises(InvalidInput):
+        chord_tangent(p, affine_point(other, 0, 1))
 
 
 def test_chord_frozen():

@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -117,3 +118,15 @@ def test_line_image_preserves_incidence():
     img = m.line_image(ln)
     assert img.contains(m.apply(p))
     assert img.contains(m.apply(q))
+
+
+def test_normal_form_pivot_is_first_of_tied_coordinates():
+    # two coordinates of equal size up to rounding, as on the flexes of the
+    # Hesse pencil: the first is the pivot whichever is larger in the last
+    # bits, and the normal form is its own normal form; past 1e-12 the
+    # larger one is the pivot
+    w = cmath.exp(2j * cmath.pi / 3)
+    for z in (-w, -w * (1 + 2e-16), -w * (1 - 2e-16)):
+        n = ProjPoint(0.0, 1.0, z).normalized()
+        assert n.coords[1] == 1 and n.normalized().coords == n.coords
+    assert ProjPoint(0.0, 1.0, 1.0 + 1e-9).normalized().coords[2] == 1
