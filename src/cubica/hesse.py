@@ -387,15 +387,32 @@ def _triangle_map(form: CubicForm, sides):
 
 def _closest_member(form: CubicForm, triangles):
     """(A, k, residual) for the triangle whose image is nearest the pencil,
-    k and residual read from that image by _pencil_parameter.  The sides
-    are floats, so an exact form turns into floats once, as Python's mixed
-    arithmetic would turn each coefficient at every use."""
+    k and residual read from that image by _pencil_parameter.
+
+    When every coefficient is real, only the triangle with three real sides
+    is taken.  A smooth real cubic has exactly one; its map is real, and so
+    is the member it reaches, the curve's own real k: the one real member
+    of the pencil real-projectively equivalent to the curve.  The sides are
+    floats, so an exact form turns into floats once, as Python's mixed
+    arithmetic would turn each coefficient at every use.
+    """
     if form.is_exact:
         form = CubicForm(tuple(float(c) for c in form.coeffs))
+    if all(complex(c).imag == 0 for c in form.coeffs):
+        triangles = [s for s in triangles if all(isinstance(v, float) for r in s for v in r)][:1]
     maps = [m for m in (_triangle_map(form, s) for s in triangles) if m is not None]
     if not maps:
         raise ConvergenceFailure("no triangle of the pencil gives a map")
     return min(((a,) + _pencil_parameter(image) for a, image in maps), key=lambda m: m[2])
+
+
+def _into_pencil(form: CubicForm, triangles):
+    """(k, A) from _closest_member, its k without dust; ConvergenceFailure
+    when the image is further than 1e-8 from the pencil."""
+    a, k, dev = _closest_member(form, triangles)
+    if dev > 1e-8:
+        raise ConvergenceFailure(f"reduction into the pencil left residual {dev:.2e}")
+    return _without_dust(k), a
 
 
 def _pencil_parameter(form: CubicForm):
@@ -427,36 +444,28 @@ def to_hesse(form: CubicForm, canonical: bool = False):
     up to scale.
 
     Each triangle of the pencil spanned by the form and its Hessian gives
-    such an A (see _triangle_map); the one whose image is closest to a
-    member of the pencil wins.  Its sides pass through flexes polished on
-    the form itself (see cubic._polish_flexes), so one pass is enough.
-    Real cube roots keep a real triangle's map, and its k, real.
+    such an A (see _triangle_map).  When every coefficient is real, the one
+    triangle with three real sides gives a real A and the curve's own real
+    k != 1, the one real member real-projectively equivalent to it; two real
+    curves get the same k exactly when a real map carries one onto the
+    other.  Otherwise the triangle whose image is closest to a member of the
+    pencil wins.  The sides pass through flexes polished on the form itself
+    (see cubic._polish_flexes), so one pass is enough.
 
-    With canonical=True, k is moved to its tetrahedral-orbit representative
-    with smallest (|k|, arg k) and A is adjusted to match.
+    With canonical=True, k is moved to the normal form of its complex
+    orbit, the tetrahedral image with the smallest |k| (moduli within 1e-9
+    relative count as equal) and among those the smallest arg k in
+    (-pi, pi], and A is adjusted to match.  It is often complex for a real
+    curve.
     """
-
-    def into_pencil(triangles, flexes):
-        a, k, dev = _closest_member(form, triangles)
-        if dev > 1e-8:
-            raise ConvergenceFailure(
-                f"reduction into the pencil left residual {dev:.2e}"
-            )
-        return k, a
-
-    k, a = _from_pencil_triangles(form, into_pencil)
-    k = _without_dust(k)
+    k, a = _from_pencil_triangles(form, lambda triangles, flexes: _into_pencil(form, triangles))
     if canonical:
-        pairs = _tetrahedral_pairs()
-        scored = []
-        for idx, (m, p) in enumerate(pairs):
-            kk = m.apply(k)
-            if _is_infinite(kk):
-                continue
-            kc = complex(kk)
-            scored.append(((round(abs(kc), 10), round(cmath.phase(kc), 10), idx), kk, p))
-        scored.sort(key=lambda t: t[0])
-        _, k, p = scored[0]
+        orbit = [(_without_dust(m.apply(k)), p) for m, p in _tetrahedral_pairs()]
+        orbit = [(kk, p) for kk, p in orbit if not _is_infinite(kk)]
+        least = min(abs(kk) for kk, _ in orbit)
+        k, p = min(
+            ((kk, p) for kk, p in orbit if abs(kk) <= least * (1 + 1e-9)),
+            key=lambda t: cmath.phase(t[0]),
+        )
         a = p.compose(a)
-        k = _without_dust(k)
     return k, a

@@ -1,12 +1,14 @@
 """Real cubic curves: real flexes, components, the complete invariant,
 real symmetries, and the canonical affine picture.
 
-The classification route never reads the pencil parameter off the
-coefficients, even when the input visibly sits in the pencil: it reduces
-to y^2 = x^3 + ax + b at a real flex, reads (J, sign b, sign a), and
-inverts J on the branch the sign selects.  The coefficient pattern is
-used only to pick an exact flex when one is available, which keeps the
-whole reduction in rational arithmetic.
+Every smooth real cubic is real-projectively equivalent to exactly one real
+member x^3 + y^3 + z^3 = 3k xyz with k != 1.  Of the four triangles of the
+pencil spanned by the curve and its Hessian, one has three real sides, and
+the map sending them to the coordinate lines carries the curve onto that
+member (see hesse._closest_member).  classify_real reads k off that map,
+the real flexes off the same pass, and J, the signs of a and b in
+y^2 = x^3 + ax + b and the number of components off the invariants
+(sigma, tau), which are -576a and 41472b on the Weierstrass model.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from .cubic import (
     CubicForm,
     _from_pencil_triangles,
+    _invariants,
     _match_hesse_pattern,
     _point_sort_key,
     evaluate_grid,
@@ -29,7 +32,7 @@ from .errors import (
     OneComponent,
     SingularCurve,
 )
-from .hesse import _triangle_map, hesse_form, real_parameters_for_j
+from .hesse import _into_pencil, hesse_form
 from .march import implicit_curve, is_closed
 from .projective import (
     ProjLine,
@@ -37,8 +40,8 @@ from .projective import (
     ProjPoint,
     _flat_proportional,
 )
-from .scalars import is_exact, roots_cubic
-from .standard import StandardCurve, j_invariant, to_standard
+from .scalars import collapse, is_exact, roots_cubic
+from .standard import StandardCurve
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -83,20 +86,10 @@ _HESSE_REAL_FLEXES = (
 )
 
 
-def real_flexes(form: CubicForm):
-    """The three conjugation-fixed flexes of a smooth real cubic."""
-    form = _realify_form(form)
-    hit = _match_hesse_pattern(form)
-    if hit is not None:
-        kind, k = hit
-        if kind == "infinity":
-            raise SingularCurve("the triangle member has no flexes")
-        if isinstance(k, complex):
-            raise ComplexCoefficients("pencil parameter is not real")
-        return _HESSE_REAL_FLEXES
-    fs = find_flexes(form)
+def _real_points(flexes):
+    """The three real points among nine flexes, with real coordinates."""
     reals = []
-    for p in fs.points:
+    for p in flexes:
         if p.is_real(1e-6):
             n = p.normalized()
             coords = tuple(
@@ -111,13 +104,29 @@ def real_flexes(form: CubicForm):
     return tuple(reals)
 
 
+def real_flexes(form: CubicForm):
+    """The three conjugation-fixed flexes of a smooth real cubic: exact for
+    a member of the pencil, whose real flexes are three base points."""
+    form = _realify_form(form)
+    hit = _match_hesse_pattern(form)
+    if hit is not None:
+        if hit[0] == "infinity":
+            raise SingularCurve("the triangle member has no flexes")
+        return _HESSE_REAL_FLEXES
+    return _real_points(find_flexes(form))
+
+
 @dataclass(frozen=True)
 class RealClassification:
     """The complete invariant of a smooth real cubic.
 
-    k is the unique real pencil parameter (never 1); J, sign_b and
-    sign_a are read from the reduction to y^2 = x^3 + ax + b at a real
-    flex.
+    k is the curve's own real pencil parameter (never 1), read off the map
+    of the one real triangle of its pencil, as to_hesse reads it.  J is
+    4 sigma^3 / (4 sigma^3 - 3 tau^2) in the invariants (see
+    cubic._invariants), exact on exact input.  On y^2 = x^3 + ax + b,
+    sigma = -576a and tau = 41472b, so sign_a is the sign of -sigma, sign_b
+    that of tau, and the curve has two components exactly when
+    4 sigma^3 - 3 tau^2 > 0.  real_flexes are the three real flexes.
     """
 
     k: object
@@ -139,50 +148,27 @@ def _sign_of(v, other, weight) -> int:
     return 1 if vv > 0 else -1
 
 
-_K_LO = 1.0 - _SQRT3
-_K_HI = 1.0 + _SQRT3
-
-
-def _select_real_k(j_val: float, sign_b: int, components: int) -> float:
-    if sign_b == 0:
-        return _K_LO if components == 1 else _K_HI
-    cands = real_parameters_for_j(j_val)
-    inside = [k for k in cands if _K_LO < k < _K_HI]
-    outside = [k for k in cands if not (_K_LO < k < _K_HI)]
-    pool = inside if sign_b < 0 else outside
-    if not pool:
-        pool = cands
-    if len(pool) > 1:
-        keyed = [k for k in pool if (k < 1.0) == (components == 1)]
-        if keyed:
-            pool = keyed
-    if not pool:
-        raise ConvergenceFailure(f"no real parameter found for J = {j_val}")
-    return pool[0]
-
-
 def classify_real(form: CubicForm) -> RealClassification:
+    """The complete invariant of a smooth real cubic (see RealClassification)
+    from one pass into the triangles of its pencil and from its invariants.
+    ComplexCoefficients when a coefficient is not real, SingularCurve when
+    the curve is singular."""
     form = _realify_form(form)
-    flexes = real_flexes(form)
-    curve, _ = to_standard(form, flexes[0])
-    a, b = curve.a, curve.b
-    if isinstance(a, complex):
-        a = a.real
-    if isinstance(b, complex):
-        b = b.real
-    curve = StandardCurve(a, b)
-    j = j_invariant(curve)
-    sign_b = _sign_of(b, a, 1.5)
-    sign_a = _sign_of(a, b, 2.0 / 3.0)
-    components = count_components(curve)
-    k = _select_real_k(float(j), sign_b, components)
+    k, flexes = _from_pencil_triangles(
+        form, lambda triangles, flexes: (_into_pencil(form, triangles)[0], flexes)
+    )
+    sigma, tau = _invariants(form)
+    disc = 4 * sigma ** 3 - 3 * tau ** 2
+    disc_sign = _sign_of(disc, sigma, 3)
+    if disc_sign == 0:
+        raise SingularCurve("4 sigma^3 = 3 tau^2 within tolerance")
     return RealClassification(
         k=k,
-        J=j,
-        sign_b=sign_b,
-        sign_a=sign_a,
-        components=components,
-        real_flexes=flexes,
+        J=collapse(4 * sigma ** 3 / disc),
+        sign_b=_sign_of(tau, sigma, 1.5),
+        sign_a=-_sign_of(sigma, tau, 2.0 / 3.0),
+        components=2 if disc_sign > 0 else 1,
+        real_flexes=_HESSE_REAL_FLEXES if _match_hesse_pattern(form) else _real_points(flexes),
     )
 
 
@@ -200,15 +186,6 @@ _PERM_MAPS = (
 )
 
 
-def _real_triangle_map(form: CubicForm, triangles):
-    """The (A, image) pair of the triangle with three real sides."""
-    real = [s for s in triangles if all(isinstance(v, float) for r in s for v in r)]
-    m = _triangle_map(form, real[0]) if real else None
-    if m is None:
-        raise ConvergenceFailure("no triangle of the pencil has three real sides")
-    return m
-
-
 def real_automorphisms(form: CubicForm):
     """The six real projective maps preserving the curve: the permutation
     group of the three real flexes.
@@ -219,11 +196,11 @@ def real_automorphisms(form: CubicForm):
     """
     form = _realify_form(form)
     hit = _match_hesse_pattern(form)
-    if hit is not None and hit[0] == "finite" and not isinstance(hit[1], complex):
+    if hit is not None and hit[0] == "finite":
         return tuple(ProjMap(rows) for rows in _PERM_MAPS)
 
     def conjugate(triangles, flexes):
-        a = _real_triangle_map(form, triangles)[0]
+        a = _into_pencil(form, triangles)[1]
         inv = a.inverse()
         maps = tuple(inv.compose(ProjMap(p)).compose(a) for p in _PERM_MAPS)
         for m in maps:

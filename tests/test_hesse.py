@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubica.cubic import find_flexes, transform
+from cubica.cubic import CubicForm, find_flexes, transform
 from cubica.errors import SingularParameter
 from cubica.hesse import (
     eta,
@@ -22,7 +22,7 @@ from cubica.hesse import (
     translation_subgroup,
 )
 from cubica.projective import ProjMap, proj_distance
-from cubica.standard import to_standard
+from cubica.standard import StandardCurve, to_standard
 
 GAMMA = cmath.exp(2j * cmath.pi / 3)
 
@@ -183,6 +183,43 @@ def test_to_hesse_canonical_collapses_orbit():
         kk, _ = to_hesse(hesse_form(complex(k).real), canonical=True)
         reps.add(round(complex(kk).real, 6) + 0.0)
     assert len(reps) == 1
+
+
+def test_to_hesse_reads_a_real_curve_its_own_k():
+    # the paper's real normal form, whose member k has the Weierstrass model
+    # a = -27k(k^3 + 8), b = 54(k^6 - 20k^3 - 8): y^2 = x^3 - 4x + 1 has two
+    # components and b > 0, so its k lies above 1 + sqrt(3); y^2 = x^3 + 1
+    # has a = 0 and b > 0, so its k is -2, not 0, where b < 0
+    for (a, b), k0 in (((-4, 1), 3.3028), ((0, 1), -2.0)):
+        k, m = to_hesse(StandardCurve(a, b).cubic_form())
+        assert isinstance(k, float) and abs(k - k0) < 1e-4
+        assert j_of_k(k) == pytest.approx(4 * a ** 3 / (4 * a ** 3 + 27 * b ** 2), abs=1e-9)
+        assert all(not isinstance(v, complex) or v.imag == 0 for row in m.rows for v in row)
+
+
+# integer maps across which rounding of |k| split the canonical k of a curve
+CANONICAL_MAPS = (
+    INTEGER_MAP,
+    ((1, 1, 0), (0, 2, -1), (1, 0, 1)),
+    ((2, 0, 1), (0, 1, 1), (-1, 1, 0)),
+    ((1, -1, 2), (3, 1, 0), (-1, 2, 1)),
+    ((1, 2, 0), (-1, 0, 1), (2, 1, 1)),
+    ((3, 1, -1), (0, 2, 1), (1, 0, 2)),
+)
+
+
+@pytest.mark.parametrize("a, b", [(3, -5), (3, Fraction(1, 2)), (Fraction(2, 3), Fraction(1, 2)),
+                                  (Fraction(5, 3), Fraction(-5, 2))])
+def test_to_hesse_canonical_k_ignores_rounding(a, b):
+    # the moduli of k, omega k and omega^2 k agree up to rounding, and a
+    # real negative k has arg pi, never -pi: every frame gets one k
+    ks = []
+    for rows in CANONICAL_MAPS:
+        form = transform(StandardCurve(a, b).cubic_form(), ProjMap(rows))
+        for f in (form, CubicForm(tuple(float(c) for c in form.coeffs))):
+            ks.append(complex(to_hesse(f, canonical=True)[0]))
+    assert max(abs(k - ks[0]) for k in ks) < 1e-9
+    assert j_of_k(ks[0]) == pytest.approx(4 * a ** 3 / (4 * a ** 3 + 27 * b ** 2), rel=1e-9)
 
 
 def test_flexes_match_exceptional_points():

@@ -1,11 +1,13 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
-from cubica.cubic import transform
+from cubica.cubic import CubicForm, transform
 from cubica.errors import ComplexCoefficients, OneComponent, SingularCurve
-from cubica.hesse import hesse_form, j_of_k
-from cubica.projective import ProjMap, ProjPoint, _flat_proportional, proj_distance
+from cubica.hesse import hesse_form, j_of_k, to_hesse
+from cubica.projective import ProjMap, ProjPoint, _det3, _flat_proportional, proj_distance
 from cubica.real_curves import (
     canonical_picture,
     classify_real,
@@ -57,6 +59,68 @@ def test_classify_transformed_curve():
     m = ProjMap(((1, 1, 0), (0, 2, -1), (1, 0, 1)))
     rc = classify_real(transform(hesse_form(3), m))
     assert abs(float(rc.k) - 3) < 1e-6
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _real_theorem_forms():
+    """(k, form): 8 rational k, each under 25 seeded integer maps, exact and
+    rounded to floats."""
+    rng = random.Random(9)
+    for k in (-3, -2, Fraction(-1, 2), 0, Fraction(1, 3), 2, Fraction(7, 2), 5):
+        for _ in range(25):
+            while True:
+                rows = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
+                if _det3(rows):
+                    break
+            moved = transform(hesse_form(Fraction(k)), ProjMap(rows))
+            yield k, moved
+            yield k, CubicForm(tuple(float(c) for c in moved.coeffs))
+
+
+def test_every_real_curve_gets_its_own_real_k():
+    # PAPER.md, Theorem T-realH: a smooth real cubic is real-projectively
+    # equivalent to exactly one real member with k != 1, whose Weierstrass
+    # model is a = -27k(k^3 + 8), b = 54(k^6 - 20k^3 - 8)
+    count = 0
+    for k0, form in _real_theorem_forms():
+        k, m = to_hesse(form)
+        assert abs(k - k0) < 1e-6, (k0, form)
+        assert all(not isinstance(v, complex) or v.imag == 0 for row in m.rows for v in row)
+        rc = classify_real(form)
+        assert abs(rc.k - k0) < 1e-6
+        assert rc.components == (1 if k0 < 1 else 2)
+        assert rc.sign_a == _sign(-27 * k0 * (k0 ** 3 + 8))
+        assert rc.sign_b == _sign(54 * (k0 ** 6 - 20 * k0 ** 3 - 8))
+        if form.is_exact:
+            assert rc.J == j_of_k(k0)
+        count += 1
+    assert count == 400
+
+
+def test_classify_real_gives_exact_input_an_exact_j():
+    # y^2 = x^3 - 4x + 1 under an integer map is not Hesse-shaped; its J is
+    # 4a^3 / (4a^3 + 27b^2)
+    form = transform(StandardCurve(-4, 1).cubic_form(), ProjMap(((1, 1, 0), (0, 2, -1), (1, 0, 1))))
+    rc = classify_real(form)
+    assert isinstance(rc.J, Fraction) and rc.J == Fraction(256, 229)
+    assert abs(j_of_k(rc.k) - rc.J) < 1e-9
+
+
+@pytest.mark.parametrize("rows", [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 1, 0), (-3, -2, 2), (1, -1, 3)),
+                                  ((2, 1, 0), (0, 1, -1), (1, 0, 3))])
+def test_classify_real_rejects_a_nodal_curve(rows):
+    nodal = transform(CubicForm((1, 0, 1, 0, 0, 0, 0, -1, 0, 0)), ProjMap(rows))  # y^2 z = x^3 + x^2 z
+    for form in (nodal, CubicForm(tuple(float(c) for c in nodal.coeffs))):
+        with pytest.raises(SingularCurve):
+            classify_real(form)
+
+
+def test_classify_real_rejects_complex_coefficients():
+    with pytest.raises(ComplexCoefficients):
+        classify_real(hesse_form(1j))
 
 
 def test_real_automorphisms_hesse():
