@@ -38,8 +38,7 @@ _MONO_INDEX = {m: i for i, m in enumerate(MONOMIALS)}
 
 # ---------------------------------------------------------------------------
 # dense polynomial kernel: a linear form is its 3 coefficients of x, y, z and
-# a cubic its 10 coefficients in MONOMIALS order; plain lists (index =
-# degree) serve univariate elimination work
+# a cubic its 10 coefficients in MONOMIALS order
 # ---------------------------------------------------------------------------
 
 # the variables of each monomial, x^2 y -> (0, 0, 1): MONOMIALS order for
@@ -64,6 +63,15 @@ def _pair(u, v):
 def _times(q, w):
     """The 10 coefficients of the cubic q(x)(w.x), q a quadratic."""
     return [sum(q[i] * w[t] for i, t in terms if q[i] and w[t]) for terms in _TIMES_TERMS]
+
+
+def _first_partials(c):
+    """f_x, f_y, f_z of the cubic with coefficients c, each a quadratic."""
+    return (
+        (3 * c[0], 2 * c[1], 2 * c[2], c[3], c[4], c[5]),
+        (c[1], 2 * c[3], c[4], 3 * c[6], 2 * c[7], c[8]),
+        (c[2], c[4], 2 * c[5], c[7], 2 * c[8], 3 * c[9]),
+    )
 
 
 def _second_partials(c):
@@ -96,27 +104,6 @@ def _sym_adjugate(xx, xy, xz, yy, yz, zz):
 def _trace_product(a, b):
     """tr(a b) of two symmetric 3x3 matrices given by six entries each."""
     return a[0] * b[0] + a[3] * b[3] + a[5] * b[5] + 2 * (a[1] * b[1] + a[2] * b[2] + a[4] * b[4])
-
-
-def _ladd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] = out[i] + v
-    return out
-
-
-def _lmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y == 0:
-                continue
-            out[i + j] = out[i + j] + x * y
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,69 +376,6 @@ def is_flex(form: CubicForm, p: ProjPoint, tol: float = 1e-6) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# resultant elimination: _resultant2 and _ratio_candidates serve
-# singular_points only
-# ---------------------------------------------------------------------------
-
-
-def _resultant2(f, g):
-    """Resultant in z of f[2] z^2 + f[1] z + f[0] and g[2] z^2 + g[1] z +
-    g[0], whose coefficients are list-polys in x: (f2 g0 - f0 g2)^2 -
-    (f2 g1 - f1 g2)(f1 g0 - f0 g1)."""
-
-    def cross(i, j):
-        return _ladd(_lmul(f[i], g[j]), [-v for v in _lmul(f[j], g[i])])
-
-    a = cross(2, 0)
-    return _ladd(_lmul(a, a), [-v for v in _lmul(cross(2, 1), cross(1, 0))])
-
-
-def _complex_form(form: CubicForm) -> CubicForm:
-    cs = [complex(c) for c in form.coeffs]
-    top = max(abs(c) for c in cs)
-    return CubicForm(tuple(c / top for c in cs))
-
-
-def _cluster_values(values, tol):
-    """Greedy clustering of complex numbers; returns representatives."""
-    reps = []
-    for v in sorted(values, key=lambda c: (c.real, c.imag)):
-        for i, r in enumerate(reps):
-            if abs(v - r[0] / r[1]) <= tol * max(1.0, abs(v)):
-                reps[i] = (r[0] + v, r[1] + 1)
-                break
-        else:
-            reps.append((v, 1))
-    return [s / n for s, n in reps]
-
-
-def _ratio_candidates(res_poly, total_degree):
-    """Projective (x:y) roots of a homogeneous polynomial given by its
-    y=1 coefficient list."""
-    mags = [abs(c) for c in res_poly]
-    top = max(mags)
-    if top == 0.0:
-        return None
-    deg = 0
-    for i, m in enumerate(mags):
-        if m > 1e-10 * top:
-            deg = i
-    if all(m <= 1e-10 * top for m in mags):
-        return None
-    coeffs_desc = list(reversed(res_poly[: deg + 1]))
-    ratios = []
-    if deg > 0:
-        for t in _cluster_values(poly_roots(coeffs_desc), 1e-7):
-            if abs(t) <= 1.0:
-                ratios.append((t, 1.0 + 0j))
-            else:
-                ratios.append((1.0 + 0j, 1.0 / t))
-    if deg < total_degree:
-        ratios.append((1.0 + 0j, 0.0 + 0j))
-    return ratios
-
-
-# ---------------------------------------------------------------------------
 # flexes: the four triangles of the pencil <F, H(F)>
 # ---------------------------------------------------------------------------
 
@@ -608,13 +532,14 @@ _SPLIT_RESTRICTION = np.array([
 # made real, so that a real triangle gives a real map.
 _REAL_SIDE_TOL = 1e-6
 
-# Nine polished points closer than this are not nine flexes.  Measured
-# nearest-pair distances: at least 8.3e-3 on 1800 curves of the bench's
-# exact workload (condition numbers up to 100), 2.0e-2 on 2400 of its reduce
-# curves and 0.29 on 300 random complex cubics.  On nodal and cuspidal forms
-# under 100 integer maps with entries in -3..3, the meets that polish
-# cluster at the singular point within 4.7e-4 of each other when rounded to
-# floats, within 6.7e-6 when exact.
+# Points closer than this are one point.  Measured nearest-pair distances
+# of flexes: at least 8.3e-3 on 1800 curves of the bench's exact workload
+# (condition numbers up to 100), 2.0e-2 on 2400 of its reduce curves and
+# 0.29 on 300 random complex cubics.  It no longer screens singular forms,
+# which the verdict (_smooth_coefficients) turns away first.  Under 200
+# integer maps with entries in -3..3, exact and rounded to floats, the
+# points of a cusp and a tacnode split by at most 3.0e-6 and 1.4e-4 in
+# singular_points, and distinct singular points lay 0.17 apart or more.
 _FLEX_SEPARATION = 1e-3
 
 
@@ -664,10 +589,75 @@ def _invariants(form: CubicForm):
     return _invariants_at_point(form.coeffs, form.hessian().coeffs)
 
 
-def _pencil_triangles(form: CubicForm):
-    """The triangles of the pencil <f, h> spanned by the form f and its
-    Hessian h, each scaled to unit largest coefficient, and the nine
-    flexes where their sides meet.
+# the nine cubics x_i f_j, which span the degree-3 part of the Jacobian
+# ideal of f, are linear in its coefficients c: row 3j + i of
+# c . _JACOBIAN holds the coefficients of x_i f_j
+_JACOBIAN = np.array([
+    [_times(q, w) for q in _first_partials(e) for w in np.eye(3, dtype=int)] for e in np.eye(10, dtype=int)
+])
+
+# A floating curve is singular when the smallest singular value of the
+# matrix of _smooth_coefficients is at most this fraction of the largest.
+# Measured on smooth pencil members under real maps, at scales 1, 1e+-6 and
+# 1e+-100: at least 1.6e-5, 1.9e-9 and 3.5e-13 in the condition bands 1-10,
+# 10-100 and 100-1000, 1.6e-17 near condition 1e4.  On nodes, cusps,
+# tacnodes, triangles, conics with a secant and concurrent lines: at most
+# 2.3e-16 under integer maps, rounded to floats, and 2.3e-14 under float
+# maps of condition < 300, but nodes reached 1.6e-12 under float maps of
+# condition 300-1000 (9 of 900 above this cut).
+_RANK_TOL = 1e-13
+
+
+def _representative(form: CubicForm):
+    """The form's coefficients as the verdict and the constructions use
+    them: its integer representative on exact input, so that its Hessian
+    expands exactly, and scaled to unit largest coefficient on floats, so
+    that its Hessian neither overflows nor underflows."""
+    if form.is_exact:
+        return _integral(form.coeffs)[0]
+    scale = max(abs(v) for v in form.coeffs)
+    return [v / scale for v in form.coeffs]
+
+
+def _smooth_coefficients(form: CubicForm):
+    """(c, hc): the form's coefficients c (see _representative) and those
+    of its Hessian, once the curve is judged smooth; SingularCurve when it
+    is singular, as when hc vanishes identically (three concurrent lines, a
+    repeated factor).
+
+    Exact input is judged exactly: singular when 4 sigma^3 = 3 tau^2 (see
+    _invariants).  Floating input stacks the 9 x 10 matrix M of the cubics
+    x_i f_j (see _JACOBIAN) and hc as a tenth row, each scaled to unit
+    norm.  Its determinant is an invariant of degree 12 that vanishes
+    exactly on singular curves: for a smooth f, M has rank 9 and hc spans
+    the one direction M misses (the socle of the Jacobian ring), while at a
+    singular point p every x_i f_j and the Hessian vanish, so the monomials
+    of p are a kernel vector.  The curve is singular when the smallest
+    singular value is at most _RANK_TOL times the largest, which calls
+    smooth curves smooth under maps of condition up to 1e3.
+    """
+    c = _representative(form)
+    try:
+        hc = CubicForm(c).hessian().coeffs
+    except DegenerateForm:
+        raise SingularCurve("the Hessian vanishes identically") from None
+    if all_exact(c):
+        sigma, tau = _invariants_at_point(c, hc)
+        singular = 4 * sigma ** 3 == 3 * tau ** 2
+    else:
+        m, h = np.tensordot(np.array(c), _JACOBIAN, 1), np.array(hc)
+        s = np.linalg.svd(np.vstack([m / np.linalg.norm(m), h / np.linalg.norm(h)]), compute_uv=False)
+        singular = s[-1] <= _RANK_TOL * s[0]
+    if singular:
+        raise SingularCurve("curve is singular")
+    return c, hc
+
+
+def _pencil_triangles(c, hc):
+    """The triangles of the pencil <f, h> spanned by the smooth cubic f and
+    its Hessian h, with coefficients c and hc (see _smooth_coefficients),
+    each scaled to unit largest coefficient, and the nine flexes where
+    their sides meet.
 
     For a smooth f that is not itself a triangle the pencil has exactly four
     singular members, each a triangle of inflection lines, and each flex
@@ -679,7 +669,7 @@ def _pencil_triangles(form: CubicForm):
 
         (sigma^2 / 3) t^4 + (4 tau / 3) t^3 + 2 sigma t^2 - 1.
 
-    A root lost to a degree drop is the member h itself.  h is expanded
+    A root lost to a degree drop is the member h itself.  hc is expanded
     once, exactly on the integer representative of exact input: in floats,
     cancellation can cost an ill-conditioned form most of its digits.
 
@@ -699,13 +689,8 @@ def _pencil_triangles(form: CubicForm):
     (triangles, flexes), each triangle the three rows of its sides, best
     conditioned first.
     """
-    if form.is_exact:
-        c = _integral(form.coeffs)[0]
-    else:
-        scale = max(abs(v) for v in form.coeffs)
-        c = [v / scale for v in form.coeffs]
+    exact = all_exact(c)
     top = max(abs(v) for v in c)
-    hc = CubicForm(c).hessian().coeffs
     sigma, tau = _invariants_at_point(c, hc)
     h_top = max(abs(v) for v in hc)
     # f and h scaled to unit largest coefficient, with the invariants of
@@ -713,7 +698,7 @@ def _pencil_triangles(form: CubicForm):
     pair = np.array([[complex(v / top) for v in c], [complex(v / h_top) for v in hc]])
     sigma, tau = complex(sigma * top ** 2 / h_top ** 2), complex(tau * top ** 3 / h_top ** 3)
     third = _third_partials(pair)
-    if form.is_exact:
+    if exact:
         # h's exact coefficients, rounded once, lose fewer digits than the
         # determinant of f's rounded second partials
         def at(p):
@@ -728,9 +713,6 @@ def _pencil_triangles(form: CubicForm):
             hv, gh = _hessian_det(tf, m)
             return fv, gf, hv / h_scale, gh / h_scale
 
-    sv = np.linalg.svd(pair, compute_uv=False)
-    if sv[1] <= 1e-9 * sv[0]:
-        raise ConvergenceFailure("the Hessian is proportional to the form")
     roots = poly_roots((sigma ** 2 / 3, 4 * tau / 3, 2 * sigma, 0, -1))
     members = np.array([(1, t) if abs(t) <= 1 else (1 / t, 1) for t in roots] + [(0, 1)] * (4 - len(roots)))
     # each member's restriction c0 + c1 s + c2 s^2 + c3 s^3 to the split
@@ -799,28 +781,19 @@ def _pencil_triangles(form: CubicForm):
 def _from_pencil_triangles(form: CubicForm, build):
     """build(triangles, flexes) from _pencil_triangles on the form.
 
-    Every failure of the construction ends in one verdict: SingularCurve
-    when the curve is singular, ConvergenceFailure otherwise.  Exact input
-    is judged by the exact is_smooth, and singular_points only names the
-    point; floating input is judged by singular_points.
+    The verdict (_smooth_coefficients) comes first, on the coefficients and
+    the Hessian the construction then uses, so a singular curve raises
+    SingularCurve even where the meets of its triangles would polish to
+    nine points.  Any failure of the construction on a curve judged smooth
+    is ConvergenceFailure.
     """
+    c, hc = _smooth_coefficients(form)
     try:
-        return build(*_pencil_triangles(form))
+        return build(*_pencil_triangles(c, hc))
+    except ConvergenceFailure:
+        raise
     except (CubicaError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        error = exc
-    smooth = is_smooth(form) if form.is_exact else None
-    if not smooth:
-        try:
-            sing = singular_points(form)
-        except DegenerateForm:
-            raise SingularCurve("form has a repeated factor") from None
-        if sing:
-            raise SingularCurve(f"curve is singular at {sing[0]!r}")
-        if smooth is False:
-            raise SingularCurve("curve is singular: 4 sigma^3 = 3 tau^2")
-    if isinstance(error, ConvergenceFailure):
-        raise error
-    raise ConvergenceFailure(f"triangle construction failed: {error!r}") from error
+        raise ConvergenceFailure(f"triangle construction failed: {exc!r}") from exc
 
 
 def find_flexes(form: CubicForm) -> FlexSet:
@@ -829,21 +802,14 @@ def find_flexes(form: CubicForm) -> FlexSet:
     The sides of two triangles of the pencil spanned by the curve and its
     Hessian are inflection lines; each side of one meets each side of the
     other in a flex, which Newton then polishes on the curve and on its
-    Hessian (see _polish_flex).
+    Hessian (see _polish_flexes).
     """
     return _from_pencil_triangles(form, lambda triangles, flexes: flexes)
 
 
 # ---------------------------------------------------------------------------
-# singular locus
+# Hesse and Weierstrass coefficient patterns
 # ---------------------------------------------------------------------------
-
-_SHEAR_MAPS = (
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    ((1, 1, 0), (0, 1, 1), (1, 0, 1)),
-    ((2, 1, -1), (1, -2, 1), (0, 1, 3)),
-    ((1, -1, 2), (3, 1, 0), (-1, 2, 1)),
-)
 
 
 def _match_hesse_pattern(form: CubicForm):
@@ -909,214 +875,111 @@ def _match_standard_pattern(form: CubicForm):
     return (a, b)
 
 
-def _k_is_singular(k) -> bool:
-    if is_exact(k):
-        return k ** 3 == 1
-    if isinstance(k, complex):
-        return abs(k ** 3 - 1) <= 1e-9
-    if math.isinf(k):
-        return True
-    return abs(k ** 3 - 1) <= 1e-9
+# ---------------------------------------------------------------------------
+# singular locus
+# ---------------------------------------------------------------------------
+
+# the entries x m, y m, z m of a cubic coefficient vector, m a quadratic
+# monomial: row t, column m holds the index of x_t m
+_SHIFTS = np.array([[_CUBIC.index(tuple(sorted(m + (t,)))) for m in _QUADRATIC] for t in range(3)])
 
 
-def _hesse_singular_points(k):
-    """Singular points of a Hesse member with k^3 = 1: the vertices of the
-    triangle of lines alpha*x + beta*y + z with alpha^3 = beta^3 = 1 and
-    alpha*beta = k."""
-    from .projective import meet
-
-    g = complex(-0.5, math.sqrt(3) / 2)
-    kk = complex(k)
-    lines = []
-    for a_exp in range(3):
-        alpha = g ** a_exp
-        beta = kk / alpha
-        lines.append(ProjLine(alpha, beta, 1.0))
-    pts = []
-    for i in range(3):
-        p = meet(lines[i], lines[(i + 1) % 3]).normalized()
-        if all(proj_distance(p, q) > 1e-9 for q in pts):
-            pts.append(p)
-    pts.sort(key=_point_sort_key)
-    return pts
-
-
-def _solve2(a11, a12, a21, a22, b1, b2):
-    det = a11 * a22 - a12 * a21
-    if abs(det) < 1e-300:
-        return None
-    return ((b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det)
+def _exact_kernel(rows):
+    """A basis of the kernel of an exact matrix, by Fraction row reduction."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    n = len(rows[0])
+    pivots = []
+    for col in range(n):
+        i = len(pivots)
+        j = next((j for j in range(i, len(rows)) if rows[j][col]), None)
+        if j is None:
+            continue
+        pivot = [v / rows[j][col] for v in rows[j]]
+        rows[j], rows[i] = rows[i], pivot
+        for j, row in enumerate(rows):
+            if j != i and row[col]:
+                rows[j] = [a - row[col] * b for a, b in zip(row, pivot)]
+        pivots.append(col)
+    basis = []
+    for free in (col for col in range(n) if col not in pivots):
+        v = [Fraction(col == free) for col in range(n)]
+        for row, col in zip(rows, pivots):
+            v[col] = -row[free]
+        basis.append(v)
+    return basis
 
 
-def _gn_polish(form: CubicForm, coords, iters=14):
-    """Gauss-Newton for the overdetermined gradient system (3 eqs, chart);
-    its Jacobian is the matrix of second partials."""
-    p = [complex(c) for c in coords]
-    top = max(abs(c) for c in p)
-    p = [c / top for c in p]
-    pivot = max(range(3), key=lambda i: abs(p[i]))
-    free = [i for i in range(3) if i != pivot]
-
-    def residual(q):
-        return max(abs(v) for v in form.gradient(q))
-
-    best, best_r = list(p), residual(p)
-    for _ in range(iters):
-        vals = form.gradient(p)
-        xx, xy, xz, yy, yz, zz = _second_partials_at(form.coeffs, p)
-        grads = ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz))
-        # normal equations for the 3x2 complex Jacobian
-        a11 = sum(g[free[0]].conjugate() * g[free[0]] for g in grads)
-        a12 = sum(g[free[0]].conjugate() * g[free[1]] for g in grads)
-        a21 = sum(g[free[1]].conjugate() * g[free[0]] for g in grads)
-        a22 = sum(g[free[1]].conjugate() * g[free[1]] for g in grads)
-        b1 = sum(g[free[0]].conjugate() * v for g, v in zip(grads, vals))
-        b2 = sum(g[free[1]].conjugate() * v for g, v in zip(grads, vals))
-        step = _solve2(a11, a12, a21, a22, b1, b2)
-        if step is None:
-            break
-        p[free[0]] -= step[0]
-        p[free[1]] -= step[1]
-        r = residual(p)
-        if r < best_r:
-            best, best_r = list(p), r
-        if best_r < 1e-14:
-            break
-    return tuple(best), best_r
-
-
-def _sheared_singular_candidates(form: CubicForm):
-    """Common zeros of the gradient in (assumed generic) coordinates.
-
-    Returns None when the elimination degenerates, meaning the gradient
-    polynomials share a component in every tested pairing.
-    """
-    c = form.coeffs
-    # f_x, f_y, f_z by powers of z: splits[a][k] is the coefficient of z^k,
-    # a list-poly in x (index = degree, y to the complementary degree)
-    splits = [
-        [[c[3], 2 * c[1], 3 * c[0]], [c[4], 2 * c[2]], [c[5]]],
-        [[3 * c[6], 2 * c[3], c[1]], [2 * c[7], c[4]], [c[8]]],
-        [[c[7], c[4], c[2]], [2 * c[8], 2 * c[5]], [3 * c[9]]],
-    ]
-    leads = [abs(complex(s[2][0])) for s in splits]
-    order = sorted(range(3), key=lambda i: -leads[i])
-    if leads[order[1]] < 1e-10:
-        return None
-    ia, ib = order[0], order[1]
-    res = _resultant2(splits[ia], splits[ib])
-    # partials sharing a component give an identically-zero resultant;
-    # under floating arithmetic that shows up as coefficients far below
-    # the product of the input scales
-    scales = []
-    for idx in (ia, ib):
-        scales.append(max(
-            (abs(complex(v)) for row in splits[idx] for v in row), default=0.0
-        ))
-    res_top = max((abs(complex(v)) for v in res), default=0.0)
-    if res_top <= 1e-10 * (scales[0] * scales[1]) ** 2:
-        return None
-    ratios = _ratio_candidates(res, 4)
-    if ratios is None:
-        return None
-    cands = []
-    for (x0, y0) in ratios:
-        desc = []
-        for k in (2, 1, 0):
-            row = splits[ia][k]
-            d = len(row) - 1
-            desc.append(
-                sum(complex(v) * x0 ** i * y0 ** (d - i) for i, v in enumerate(row))
-            )
-        if abs(desc[0]) < 1e-12:
-            # leading z^2 coefficient vanished at this ratio: fall back to
-            # the linear part
-            if abs(desc[1]) < 1e-12:
-                continue
-            zs = [-desc[2] / desc[1]]
-        else:
-            zs = poly_roots(desc)
-        for z in zs:
-            coords = (x0, y0, z)
-            t = max(abs(v) for v in coords)
-            coords = tuple(v / t for v in coords)
-            if max(abs(v) for v in form.gradient(coords)) > 1e-4:
-                continue
-            cands.append(coords)
-    return cands
+def _read_point(w):
+    """The point p of a vector w proportional to the monomials of p: its
+    entries x m, y m, z m, which are m(p) p, for the quadratic monomial m
+    where they are largest.  Exact on exact input."""
+    return [w[i] for i in max(_SHIFTS.T, key=lambda rows: max(abs(w[i]) for i in rows))]
 
 
 def singular_points(form: CubicForm) -> list[ProjPoint]:
-    """All singular points of the curve; empty for a smooth curve.
+    """All singular points of the curve, in _point_sort_key order; empty
+    when the curve is smooth (_smooth_coefficients).
 
-    Forms with a repeated linear factor have a whole curve of singular
-    points and raise DegenerateForm instead of returning a list.
+    p is singular exactly when the nine cubics x_i f_j vanish there, so
+    when the ten monomials of p are a kernel vector of their 9 x 10
+    coefficient matrix (see _JACOBIAN; Stetter, "Numerical Polynomial
+    Algebra", SIAM 2004, ch. 2).  The kernel comes from Fraction row
+    reduction on exact input, from the SVD cut at _RANK_TOL on floats, and
+    its dimension r tells the curve apart:
+
+    - r = 1, a node: the kernel vector gives the point, exactly on exact
+      input;
+    - r = 2 or 3, a cusp, a conic and a secant, a tacnode or a triangle:
+      the kernel's rows t m over the quadratic monomials m, for t = x, y,
+      z, are shifts of one another by t(p) at each point p, so the
+      eigenvectors of two fixed combinations of the shifts (the points of
+      _SPLIT_LINE) give the points; the split points of a defective
+      eigenvalue closer than _FLEX_SEPARATION are one, their average;
+    - r = 4, three concurrent lines: the point where all six second
+      partials vanish, exact on exact input;
+    - r > 4, a repeated factor, a whole line of singular points:
+      DegenerateForm.
     """
-    pat = _match_hesse_pattern(form)
-    if pat is not None:
-        kind, k = pat
-        if kind == "infinity":
-            pts = [ProjPoint(0, 0, 1), ProjPoint(0, 1, 0), ProjPoint(1, 0, 0)]
-            pts.sort(key=_point_sort_key)
-            return pts
-        if not _k_is_singular(k):
-            return []
-        return _hesse_singular_points(k)
-    std = _match_standard_pattern(form)
-    if std is not None:
-        a, b = std
-        disc = -(4 * a ** 3 + 27 * b ** 2)
-        if all_exact((a, b)):
-            if disc != 0:
-                return []
-            r = -3 * Fraction(b) / (2 * Fraction(a)) if a != 0 else Fraction(0)
-            return [ProjPoint(r, 0, 1).normalized()]
-        scale = max(1.0, abs(complex(a)) ** 1.5, abs(complex(b)))
-        if abs(complex(disc)) > 1e-9 * scale ** 2:
-            return []
-        r = complex(-3 * b) / complex(2 * a) if abs(complex(a)) > 1e-12 else 0.0
-        return [ProjPoint(r, 0, 1).normalized()]
-
-    f0 = _complex_form(form)
-    degenerate_everywhere = True
-    accepted: list[tuple[ProjPoint, float]] = []
-    for shear in _SHEAR_MAPS:
-        amap = ProjMap(shear)
-        sheared = transform(f0, amap)
-        sheared = _complex_form(sheared)
-        cands = _sheared_singular_candidates(sheared)
-        if cands is None:
-            continue
-        degenerate_everywhere = False
-        for coords in cands:
-            # map back: singular(form) = A^{-1} singular(sheared)
-            back = amap.inverse().apply(ProjPoint(*coords))
-            polished, r = _gn_polish(f0, back.to_complex())
-            if r < 1e-8:
-                p = ProjPoint(*polished).normalized()
-                if all(proj_distance(p, q) > 1e-6 for q, _ in accepted):
-                    accepted.append((p, r))
-        break
-    if degenerate_everywhere:
-        raise DegenerateForm(
-            "gradient polynomials share a component: singular locus is a curve"
-        )
-    accepted.sort(key=lambda t: _point_sort_key(t[0]))
-    return [p for p, _ in accepted]
+    if is_smooth(form):
+        return []
+    c = _representative(form)
+    m = np.tensordot(np.array(c, dtype=object if form.is_exact else complex), _JACOBIAN, 1)
+    if form.is_exact:
+        kernel = _exact_kernel(m)
+    else:
+        _, sv, vh = np.linalg.svd(m)
+        kernel = vh[(sv > _RANK_TOL * sv[0]).sum():].conj()
+    r = len(kernel)
+    if r > 4:
+        raise DegenerateForm("the form has a repeated factor: a line of singular points")
+    if r == 4:
+        partials = np.array(_second_partials(c), dtype=object)
+        points = [max(_cross(partials[:, None], partials[None]).reshape(36, 3), key=lambda v: max(map(abs, v)))]
+    elif r == 1:
+        points = [_read_point(kernel[0])]
+    else:
+        k = np.array(kernel, complex).T
+        a, b = (np.tensordot(v, k[_SHIFTS], 1) for v in _SPLIT_LINE)
+        w = (k @ np.linalg.eig(np.linalg.lstsq(b, a, rcond=None)[0])[1]).T
+        unit = np.array([_read_point(v) for v in w])
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        # each eigenvector joins the first whose point is that close to its own
+        first = (1 - np.abs(unit.conj() @ unit.T) ** 2 < _FLEX_SEPARATION ** 2).argmax(axis=0)
+        points = []
+        for i in np.unique(first):
+            # the members scaled by the same entry, so that the first-order
+            # terms of a split eigenvalue cancel in their average
+            members = w[first == i]
+            points.append(_read_point((members / members[:, [np.abs(w[i]).argmax()]]).mean(axis=0)))
+    return sorted((ProjPoint(*p).normalized() for p in points), key=_point_sort_key)
 
 
 def is_smooth(form: CubicForm) -> bool:
-    """Whether the curve has no singular point.
-
-    Exact input is decided exactly: the curve is singular when
-    4 sigma^3 = 3 tau^2 (see _invariants) or when its Hessian vanishes
-    identically, which makes it a union of concurrent lines.  Floating
-    input is decided by singular_points.
-    """
+    """Whether the curve has no singular point: the verdict of
+    _smooth_coefficients, exact on exact input and on floats a rank test,
+    certified for smooth curves under maps of condition up to 1e3."""
     try:
-        if form.is_exact:
-            sigma, tau = _invariants(form)
-            return 4 * sigma ** 3 != 3 * tau ** 2
-        return not singular_points(form)
-    except DegenerateForm:
+        _smooth_coefficients(form)
+    except SingularCurve:
         return False
+    return True

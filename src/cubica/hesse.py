@@ -363,23 +363,17 @@ def _cube_root(c):
 def _triangle_map(form: CubicForm, sides):
     """(A, transform(form, A)) for the map A sending the sides of a
     triangle of the pencil of form to x, y, z, its rows scaled by cube
-    roots of the x^3, y^3, z^3 coefficients of the image; None when one of
-    those vanishes.
+    roots of the x^3, y^3, z^3 coefficients of the image.
 
     In the coordinates of the sides the form is a x^3 + b y^3 + c z^3 +
     d xyz, which the scaling makes a member of the Hesse pencil.  The
-    coefficient c is the form at a vertex.  A smooth curve never passes
-    through a vertex of a triangle of its pencil, while a nodal one can
-    pass through one at its node, which leaves c at rounding level.
-    Measured over all four triangles, |c| relative to the largest
-    coefficient is at least 2.9e-6 on 4200 curves of the bench's reduce
-    and exact workloads.
+    coefficient c is the form at a vertex, which a smooth curve never
+    passes through: measured over all four triangles, |c| relative to the
+    largest coefficient is at least 2.9e-6 on 4200 curves of the bench's
+    reduce and exact workloads.
     """
     g = transform(form, ProjMap(sides))
-    cubes = [g.coeff(*m) for m in ((3, 0, 0), (0, 3, 0), (0, 0, 3))]
-    if min(abs(complex(c)) for c in cubes) <= 1e-8 * max(abs(complex(c)) for c in g.coeffs):
-        return None
-    s = [_cube_root(c) for c in cubes]
+    s = [_cube_root(g.coeff(*m)) for m in ((3, 0, 0), (0, 3, 0), (0, 0, 3))]
     a = ProjMap(tuple(tuple(v * t for t in row) for v, row in zip(s, sides)))
     image = tuple(c / (s[0] ** i * s[1] ** j * s[2] ** k) for (i, j, k), c in zip(MONOMIALS, g.coeffs))
     return a, CubicForm(image)
@@ -400,7 +394,7 @@ def _closest_member(form: CubicForm, triangles):
         form = CubicForm(tuple(float(c) for c in form.coeffs))
     if all(complex(c).imag == 0 for c in form.coeffs):
         triangles = [s for s in triangles if all(isinstance(v, float) for r in s for v in r)][:1]
-    maps = [m for m in (_triangle_map(form, s) for s in triangles) if m is not None]
+    maps = [_triangle_map(form, s) for s in triangles]
     if not maps:
         raise ConvergenceFailure("no triangle of the pencil gives a map")
     return min(((a,) + _pencil_parameter(image) for a, image in maps), key=lambda m: m[2])

@@ -108,12 +108,8 @@ def real_flexes(form: CubicForm):
     """The three conjugation-fixed flexes of a smooth real cubic: exact for
     a member of the pencil, whose real flexes are three base points."""
     form = _realify_form(form)
-    hit = _match_hesse_pattern(form)
-    if hit is not None:
-        if hit[0] == "infinity":
-            raise SingularCurve("the triangle member has no flexes")
-        return _HESSE_REAL_FLEXES
-    return _real_points(find_flexes(form))
+    flexes = find_flexes(form)
+    return _HESSE_REAL_FLEXES if _match_hesse_pattern(form) else _real_points(flexes)
 
 
 @dataclass(frozen=True)
@@ -152,22 +148,19 @@ def classify_real(form: CubicForm) -> RealClassification:
     """The complete invariant of a smooth real cubic (see RealClassification)
     from one pass into the triangles of its pencil and from its invariants.
     ComplexCoefficients when a coefficient is not real, SingularCurve when
-    the curve is singular."""
+    the curve is singular (the verdict of cubic._smooth_coefficients)."""
     form = _realify_form(form)
     k, flexes = _from_pencil_triangles(
         form, lambda triangles, flexes: (_into_pencil(form, triangles)[0], flexes)
     )
     sigma, tau = _invariants(form)
     disc = 4 * sigma ** 3 - 3 * tau ** 2
-    disc_sign = _sign_of(disc, sigma, 3)
-    if disc_sign == 0:
-        raise SingularCurve("4 sigma^3 = 3 tau^2 within tolerance")
     return RealClassification(
         k=k,
         J=collapse(4 * sigma ** 3 / disc),
         sign_b=_sign_of(tau, sigma, 1.5),
         sign_a=-_sign_of(sigma, tau, 2.0 / 3.0),
-        components=2 if disc_sign > 0 else 1,
+        components=2 if disc > 0 else 1,
         real_flexes=_HESSE_REAL_FLEXES if _match_hesse_pattern(form) else _real_points(flexes),
     )
 

@@ -37,9 +37,14 @@ def test_flexes_count(capsys):
 
 
 def test_singular_lists_points(capsys):
+    # the README block, byte for byte
     code, out = run(capsys, "singular", "--hesse", "1")
     assert code == 0
-    assert len(out.strip().splitlines()) == 3
+    assert out == (
+        "(1 : -0.5-0.866025403784j : -0.5+0.866025403784j)\n"
+        "(1 : -0.5+0.866025403784j : -0.5-0.866025403784j)\n"
+        "(1 : 1 : 1)\n"
+    )
 
 
 def test_singular_smooth(capsys):

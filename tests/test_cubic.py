@@ -357,8 +357,8 @@ def _pencil_members_under_maps():
 
 @pytest.mark.parametrize("k, rows", _pencil_members_under_maps())
 def test_pencil_triangles_flexes_and_sides(k, rows):
-    form = transform(hesse_form(k), ProjMap(rows))
-    triangles, flexes = cubic._pencil_triangles(form)
+    pair = cubic._smooth_coefficients(transform(hesse_form(k), ProjMap(rows)))
+    triangles, flexes = cubic._pencil_triangles(*pair)
     pts = flexes.points
     keys = [cubic._point_sort_key(p) for p in pts]
     assert keys == sorted(keys)
@@ -377,7 +377,7 @@ def test_pencil_triangles_flexes_and_sides(k, rows):
         assert list(on.sum(axis=0)) == [1] * 9
     if not isinstance(k, complex):
         assert sum(all(isinstance(v, float) for side in sides for v in side) for sides in triangles) == 1
-    again = cubic._pencil_triangles(form)
+    again = cubic._pencil_triangles(*pair)
     assert again[0] == triangles
     assert [p.coords for p in again[1].points] == [p.coords for p in pts]
     assert again[1].residuals == flexes.residuals
@@ -511,10 +511,10 @@ def test_is_smooth_exact_curves(coeffs):
 
 
 def test_exact_fallback_verdict_is_exact(monkeypatch):
-    # with the triangle construction failing, the fallback alone decides:
-    # exact input by is_smooth, not by the floating singular_points, which
-    # raises DegenerateForm on these smooth curves
-    def fail(form):
+    # with the triangle construction failing, the verdict alone decides:
+    # exact input by the exact verdict, not by a floating one, which once
+    # called these smooth curves degenerate
+    def fail(c, hc):
         raise ConvergenceFailure("no triangle")
 
     monkeypatch.setattr(cubic, "_pencil_triangles", fail)
@@ -562,6 +562,21 @@ def test_singular_points_smooth_empty():
 def test_degenerate_form_rejected():
     with pytest.raises(DegenerateForm):
         singular_points(CubicForm((0, 1, 0, 0, 0, 0, 0, 0, 0, 0)))  # x^2 y
+    with pytest.raises(DegenerateForm):
+        singular_points(CubicForm((1, 0, 0, 0, 0, 0, 0, 0, 0, 0)))  # x^3
+
+
+def test_singular_points_of_exact_input_are_exact():
+    # the node of NODAL under this map, once located in floats as
+    # (2.8e-17 - 8.6e-26j : 0.6666666666666664 + 2.3e-25j : 1)
+    pts = singular_points(transform(NODAL, ProjMap(SINGULAR_MAPS[-1])))
+    assert pts == [ProjPoint(0, Fraction(2, 3), 1)] and pts[0].is_exact
+    # three concurrent lines x^3 - y^3, as they stand and moved
+    lines = CubicForm((1, 0, 0, 0, 0, 0, -1, 0, 0, 0))
+    a = ProjMap(((1, 2, 0), (0, 1, -1), (2, 0, 1)))
+    for form, want in ((lines, ProjPoint(0, 0, 1)), (transform(lines, a), a.apply(ProjPoint(0, 0, 1)))):
+        pts = singular_points(form)
+        assert pts == [want] and pts[0].is_exact
 
 
 def test_restrict_to_line_degree():
