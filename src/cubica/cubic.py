@@ -309,29 +309,24 @@ def restrict_to_line(form: CubicForm, p: ProjPoint, q: ProjPoint):
 
 
 def tangent_line(form: CubicForm, p: ProjPoint) -> ProjLine | None:
-    """Gradient line at a point; None when the gradient vanishes there."""
-    pn = p.normalized()
-    g = form.gradient(pn)
-    if all_exact(g) and pn.is_exact:
-        if all(v == 0 for v in g):
-            return None
-        return ProjLine(*g)
-    scale = max(abs(complex(c)) for c in form.coeffs)
-    if max(abs(complex(v)) for v in g) <= 1e-12 * scale:
+    """Gradient line at a point; None where the gradient vanishes: exactly at
+    an exact point of an exact form, else below 1e-12 of the top coefficient."""
+    g = form.gradient(p.normalized())
+    if (not any(g)) if all_exact(g) else (
+            max(abs(complex(v)) for v in g) <= 1e-12 * max(abs(complex(c)) for c in form.coeffs)):
         return None
     return ProjLine(*g)
 
 
-def _line_second_point(line: ProjLine, p: ProjPoint) -> ProjPoint:
-    """A deterministic point on the line distinct from p."""
-    u, v, w = line.coeffs
-    candidates = []
-    for c in ((v, -u, 0), (w, 0, -u), (0, w, -v)):
-        if any(x != 0 for x in c):
-            candidates.append(ProjPoint(*c))
+def _line_second_point(line, p):
+    """A deterministic point on the line distinct from the point p, all
+    three coordinate triples."""
+    u, v, w = line
     best = None
     best_d = -1.0
-    for cand in candidates:
+    for cand in ((v, -u, 0), (w, 0, -u), (0, w, -v)):
+        if not any(cand):
+            continue
         d = proj_distance(cand, p)
         if d > 0.1:
             return cand
@@ -354,9 +349,7 @@ def flex_defect(form: CubicForm, p: ProjPoint) -> float:
     line = tangent_line(fn, pn)
     if line is None:
         return math.inf
-    q = _line_second_point(line.normalized(), pn)
-    if not q.is_exact:
-        q = q.normalized()
+    q = ProjPoint(*_line_second_point(line.normalized().coeffs, pn.coords)).normalized()
     c = restrict_to_line(fn, pn, q)
     if all_exact(c):
         # c_i as if p and q had largest coordinate 1, as the floating

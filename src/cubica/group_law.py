@@ -1,15 +1,18 @@
 """Chord-tangent composition and the based group law on a smooth cubic.
 
-All constructions work in homogeneous coordinates, so the point at
-infinity on a standard curve needs no special casing.  When the curve
-and the points are rational the whole computation stays in exact
-arithmetic and results are exact; any floating input demotes the
-operation to complex floating point with a final Newton projection
-back onto the curve.
+Every chord and tangent step runs in one kernel, _chord, on normalized
+homogeneous triples: exact on rational curves and points, else complex
+floating point projected back onto the curve.  A group builds the curve's
+data once (the integer form, or |F| and the coefficient scale); add, negate
+and multiply pass triples between steps, and only the result becomes a
+CurvePoint, so only its membership is checked.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .cubic import (
     CubicForm,
@@ -17,8 +20,6 @@ from .cubic import (
     _match_standard_pattern,
     find_flexes,
     flex_defect,
-    restrict_to_line,
-    tangent_line,
 )
 from .errors import (
     ConvergenceFailure,
@@ -26,14 +27,10 @@ from .errors import (
     NonFlexBase,
     SingularCurve,
 )
-from .projective import ProjPoint
+from .projective import ProjPoint, _flat_proportional, _normalize
 from .scalars import _integral
 
 _MEMBER_TOL = 1e-9
-
-
-def _coeff_scale(form: CubicForm) -> float:
-    return max(abs(complex(c)) for c in form.coeffs)
 
 
 def _project_to_curve(form: CubicForm, coords):
@@ -44,15 +41,14 @@ def _project_to_curve(form: CubicForm, coords):
     top = max(abs(c) for c in v)
     v = [c / top for c in v]
     for _ in range(2):
-        p = ProjPoint(*v).coords
-        val = complex(form.evaluate(p))
-        g = [complex(x) for x in form.gradient(p)]
+        val = complex(form.evaluate(v))
+        g = [complex(x) for x in form.gradient(v)]
         nrm = sum(abs(x) ** 2 for x in g)
         if nrm < 1e-30:
             break
         step = -val / nrm
-        v = [a + step * x.conjugate() for a, x in zip(p, g)]
-    return ProjPoint(*v)
+        v = [a + step * x.conjugate() for a, x in zip(v, g)]
+    return tuple(v)
 
 
 @dataclass(frozen=True)
@@ -66,26 +62,22 @@ class CurvePoint:
         pt = self.point.normalized()
         object.__setattr__(self, "point", pt)
         val = self.curve.evaluate(pt.coords)
-        if self.curve.is_exact and pt.is_exact:
-            if val != 0:
-                raise InvalidInput(f"point {pt.coords} is not on the curve")
-        else:
-            if abs(complex(val)) > _MEMBER_TOL * _coeff_scale(self.curve):
-                raise InvalidInput(
-                    f"membership residual {abs(complex(val)):.2e} exceeds {_MEMBER_TOL}"
-                )
+        if (val != 0) if self.curve.is_exact and pt.is_exact else (
+                abs(complex(val)) > _MEMBER_TOL * max(abs(complex(c)) for c in self.curve.coeffs)):
+            raise InvalidInput(f"point {pt.coords} is not on the curve: the form is {val} there")
 
     @property
     def is_exact(self) -> bool:
         return self.curve.is_exact and self.point.is_exact
 
     def affine(self):
-        """(x, y) in the z=1 chart; InvalidInput at infinity."""
-        x, y, z = self.point.coords
-        if (z == 0) if self.point.is_exact else (abs(complex(z)) < 1e-12):
+        """(x, y) in the z=1 chart, exact for an exact point; InvalidInput
+        at infinity."""
+        exact = self.point.is_exact
+        x, y, z = self.point.coords if exact else self.point.to_complex()
+        if (z == 0) if exact else (abs(z) < 1e-12):
             raise InvalidInput("point at infinity has no affine coordinates")
-        return (x / z if self.point.is_exact else complex(x) / complex(z),
-                y / z if self.point.is_exact else complex(y) / complex(z))
+        return (Fraction(x, z), Fraction(y, z)) if exact else (x / z, y / z)
 
 
 def curve_point(curve: CubicForm, coords) -> CurvePoint:
@@ -102,49 +94,73 @@ def _same_curve(p: CurvePoint, q: CurvePoint):
         raise InvalidInput("points lie on different curves")
 
 
+class _CurveData:
+    """A curve as its chords use it: the form, its integer representative
+    for exact chords (the third point does not depend on the scale), and |F|
+    and the coefficient scale, built on first use (an exact form may lie
+    past the float range)."""
+
+    def __init__(self, curve: CubicForm):
+        self.curve, self.exact = curve, curve.is_exact
+        self.ints = CubicForm(_integral(curve.coeffs)[0]) if self.exact else None
+
+    @cached_property
+    def sizes(self) -> CubicForm:
+        return CubicForm(tuple(abs(complex(c)) for c in self.curve.coeffs))
+
+    @cached_property
+    def scale(self) -> float:
+        return max(self.sizes.coeffs)
+
+
+def _restriction(form: CubicForm, p, q, tangent):
+    """(a, b) with F(s p + t q) = s t (a s + b t) for p, q on the curve, or
+    t^2 (a s + b t) for q on the tangent at p."""
+    if tangent:
+        return sum(map(mul, form.gradient(q), p)), form.evaluate(q)
+    return sum(map(mul, form.gradient(p), q)), sum(map(mul, form.gradient(q), p))
+
+
+def _chord(data: _CurveData, p, q, tangent=None):
+    """The third meet p*q of the curve with the line through the normalized
+    triples p and q (the tangent at p when p = q, decided by tolerance when
+    tangent is None), normalized.  A normalized triple is all ints or all
+    floating, so its first entry says which.  Exact steps run in integers
+    with == 0 guards; floating ones count a restriction coefficient as zero
+    below 1e-13 times the sum of its terms' sizes (the restriction of |F| to
+    |p| and |q|) and project the third point back onto the curve."""
+    pe, qe = isinstance(p[0], int), isinstance(q[0], int)
+    exact = data.exact and pe and qe
+    form = data.ints if exact else data.curve
+    if tangent is None:
+        tangent = p == q if pe and qe else _flat_proportional(p, q)
+    if tangent:
+        g = form.gradient(p)
+        if (not any(g)) if data.exact and pe else max(abs(complex(v)) for v in g) <= 1e-12 * data.scale:
+            raise SingularCurve("gradient vanishes; no tangent line")
+        q = _line_second_point(_normalize(g), p)
+    a, b = _restriction(form, p, q, tangent)
+    # |F| is termwise at most scale (x + y + z)^3, so a size is at most
+    # 3 scale m^3, m the larger of sum |p_i| and sum |q_i|: most floating
+    # steps clear the gate without summing the sizes
+    m = 0 if exact else max(sum(abs(complex(c)) for c in r) for r in (p, q))
+    if (a == 0 and b == 0) if exact else max(abs(a), abs(b)) <= 4e-13 * data.scale * m * m * m and all(
+        abs(complex(c)) <= 1e-13 * size
+        for c, size in zip((a, b), _restriction(
+            data.sizes, *([abs(complex(c)) for c in r] for r in (p, q)), tangent))
+    ):
+        raise ConvergenceFailure(f"{'tangent' if tangent else 'chord'} restriction vanished")
+    third = tuple(b * u - a * v for u, v in zip(p, q))
+    if all((c == 0 if exact else abs(complex(c)) < 1e-300) for c in third):
+        raise ConvergenceFailure("third intersection is indeterminate")
+    return _normalize(third if exact else _project_to_curve(data.curve, third))
+
+
 def chord_tangent(p: CurvePoint, q: CurvePoint) -> CurvePoint:
     """The third intersection p*q of the line through p and q (the tangent
     at p when p = q) with the curve."""
     _same_curve(p, q)
-    form = p.curve
-    exact = p.is_exact and q.is_exact
-    if exact:
-        # the third point does not depend on the scale of the form
-        form = CubicForm(_integral(form.coeffs)[0])
-
-    def vanished(cs, n, u, v):
-        """cs[n] and cs[n + 1] are zero, or on float input below the
-        rounding of their own sums: 1e-13 times the sum of their terms'
-        sizes, which follows the points as well as the form."""
-        if exact:
-            return cs[n] == 0 and cs[n + 1] == 0
-        sizes = restrict_to_line(
-            CubicForm(tuple(abs(complex(c)) for c in form.coeffs)),
-            *(ProjPoint(*(abs(complex(c)) for c in x.coords)) for x in (u, v)))
-        return all(abs(complex(cs[i])) <= 1e-13 * sizes[i] for i in (n, n + 1))
-
-    if p.point == q.point:
-        line = tangent_line(form, p.point)
-        if line is None:
-            raise SingularCurve("gradient vanishes; no tangent line")
-        d = _line_second_point(line.normalized(), p.point)
-        cs = restrict_to_line(form, p.point, d)
-        # c1 = 0 by construction of d, so c(s,t) = t^2 (c2 s + c3 t)
-        c2, c3 = cs[2], cs[3]
-        if vanished(cs, 2, p.point, d):
-            raise ConvergenceFailure("tangent restriction vanished")
-        third = tuple(c3 * a - c2 * b for a, b in zip(p.point.coords, d.coords))
-    else:
-        cs = restrict_to_line(form, p.point, q.point)
-        # c0 and c3 vanish (membership), leaving st(c1 s + c2 t)
-        c1, c2 = cs[1], cs[2]
-        if vanished(cs, 1, p.point, q.point):
-            raise ConvergenceFailure("chord restriction vanished")
-        third = tuple(c2 * a - c1 * b for a, b in zip(p.point.coords, q.point.coords))
-    if all((c == 0 if exact else abs(complex(c)) < 1e-300) for c in third):
-        raise ConvergenceFailure("third intersection is indeterminate")
-    pt = ProjPoint(*third) if exact else _project_to_curve(form, third)
-    return CurvePoint(p.curve, pt)
+    return curve_point(p.curve, _chord(_CurveData(p.curve), p.point.coords, q.point.coords))
 
 
 class BasedGroup:
@@ -155,9 +171,8 @@ class BasedGroup:
             base = curve_point(curve, base)
         elif base.curve != curve:
             raise InvalidInput("base point lies on a different curve")
-        self.curve = curve
-        self.base = base
-        self.double_base = chord_tangent(base, base)
+        self.curve, self.base, self._data, self._o = curve, base, _CurveData(curve), base.point.coords
+        self.double_base = curve_point(curve, _chord(self._data, self._o, self._o, True))
 
     def is_flex_based(self) -> bool:
         return flex_defect(self.curve, self.base.point) <= 1e-6
@@ -173,47 +188,43 @@ def flex_based_group(curve: CubicForm) -> BasedGroup:
     if _match_standard_pattern(curve) is not None:
         return BasedGroup(curve, ProjPoint(0, 1, 0))
     flexes = find_flexes(curve).points
-    for p in flexes:
-        if all(abs(complex(c).imag) <= 1e-9 for c in p.normalized().coords):
-            return BasedGroup(curve, p)
-    return BasedGroup(curve, flexes[0])
+    return BasedGroup(curve, next((p for p in flexes if p.is_real()), flexes[0]))
 
 
 def add(g: BasedGroup, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    return chord_tangent(chord_tangent(p, q), g.base)
+    _same_curve(p, q)
+    _same_curve(p, g.base)
+    return curve_point(g.curve, _chord(g._data, _chord(g._data, p.point.coords, q.point.coords), g._o))
 
 
 def negate(g: BasedGroup, p: CurvePoint) -> CurvePoint:
-    return chord_tangent(g.double_base, p)
+    _same_curve(p, g.base)
+    return curve_point(g.curve, _chord(g._data, g.double_base.point.coords, p.point.coords))
 
 
 def multiply(g: BasedGroup, n: int, p: CurvePoint) -> CurvePoint:
+    """n p by double-and-add on triples; a doubling is known to be one, so
+    it skips the test of p = q that acc + run and the step to o keep."""
     if not isinstance(n, int):
         raise InvalidInput("multiplier must be an integer")
     if n == 0:
         return g.base
+    _same_curve(p, g.base)
+    data, o = g._data, g._o
+    acc, run, m = None, p.point.coords, abs(n)
+    while m:
+        if m & 1:
+            acc = run if acc is None else _chord(data, _chord(data, acc, run), o)
+        m >>= 1
+        if m:
+            run = _chord(data, _chord(data, run, run, True), o)
     if n < 0:
-        return negate(g, multiply(g, -n, p))
-    acc = None
-    run = p
-    while n:
-        if n & 1:
-            acc = run if acc is None else add(g, acc, run)
-        n >>= 1
-        if n:
-            run = add(g, run, run)
-    return acc
+        acc = _chord(data, g.double_base.point.coords, acc)
+    return curve_point(g.curve, acc)
 
 
 def three_torsion(g: BasedGroup):
-    """The nine solutions of 3p = o for a flex base: exactly the flexes."""
+    """The nine solutions of 3p = o for a flex base: the flexes, projected onto the curve."""
     if not g.is_flex_based():
         raise NonFlexBase("3-torsion description requires a flex base point")
-    fs = find_flexes(g.curve)
-    out = []
-    for pt in fs.points:
-        if g.curve.is_exact and pt.is_exact and g.curve.evaluate(pt.coords) == 0:
-            out.append(CurvePoint(g.curve, pt))
-        else:
-            out.append(CurvePoint(g.curve, _project_to_curve(g.curve, pt.coords)))
-    return out
+    return [curve_point(g.curve, _project_to_curve(g.curve, p.coords)) for p in find_flexes(g.curve)]

@@ -210,9 +210,9 @@ def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
     Computed as the norm of b orthogonalized against a, which stays
     accurate down to distances near machine epsilon; 1 - cos^2 would
     bottom out around 1e-8.  Exact triples of any height convert without
-    overflow (see _unit_complex).
+    overflow (see _unit_complex).  Either point may be a bare triple.
     """
-    a, b = (_unit_complex(t.coords) for t in (p, q))
+    a, b = (_unit_complex(t.coords if isinstance(t, ProjPoint) else t) for t in (p, q))
     na = math.sqrt(sum(abs(c) ** 2 for c in a))
     nb = math.sqrt(sum(abs(c) ** 2 for c in b))
     a = tuple(c / na for c in a)

@@ -188,9 +188,6 @@ def real_automorphisms(form: CubicForm):
     the maps are A^-1 P A for the six coordinate permutations P.
     """
     form = _realify_form(form)
-    hit = _match_hesse_pattern(form)
-    if hit is not None and hit[0] == "finite":
-        return tuple(ProjMap(rows) for rows in _PERM_MAPS)
 
     def conjugate(triangles, flexes):
         a = _into_pencil(form, triangles)[1]

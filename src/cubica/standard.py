@@ -138,8 +138,7 @@ def to_standard(form: CubicForm, flex: ProjPoint):
     if defect > 1e-6:
         raise NotAFlex(f"tangent contact residual {defect:.2e}")
 
-    t_pt = _line_second_point(line.normalized(), p).normalized()
-    c0, c1 = t_pt.coords, p.coords
+    c0, c1 = _normalize(_line_second_point(line.normalized().coeffs, p.coords)), p.coords
     c2 = _third_basis_column(c0, c1)
     m = ProjMap.from_columns(c0, c1, c2)
     exact = form.is_exact and p.is_exact

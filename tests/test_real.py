@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cubica.cubic import CubicForm, transform
+from cubica.cubic import CubicForm, is_smooth, transform
 from cubica.errors import ComplexCoefficients, OneComponent, SingularCurve
 from cubica.hesse import hesse_form, j_of_k, to_hesse
 from cubica.projective import ProjMap, ProjPoint, _det3, _flat_proportional, proj_distance
@@ -139,6 +140,21 @@ def test_real_automorphisms_hesse():
             img.append(idx)
         perms.add(tuple(img))
     assert len(perms) == 6
+
+
+def test_real_automorphisms_of_a_member_permute_coordinates():
+    perms = [ProjMap(rows) for rows in itertools.permutations(((1, 0, 0), (0, 1, 0), (0, 0, 1)))]
+    for k in (2, Fraction(1, 3), -2.0):
+        maps = real_automorphisms(hesse_form(k))
+        assert sorted(next(i for i, p in enumerate(perms) if p == m) for m in maps) == list(range(6))
+
+
+def test_real_automorphisms_of_the_singular_member():
+    # k = 1 is the triangle x^3 + y^3 + z^3 - 3xyz
+    for k in (1, Fraction(1), 1.0):
+        assert not is_smooth(hesse_form(k))
+        with pytest.raises(SingularCurve):
+            real_automorphisms(hesse_form(k))
 
 
 def test_real_automorphisms_transformed():
