@@ -180,27 +180,23 @@ def _cmd_singular(args):
         _emit(args, "\n".join(_fmt_point(p) for p in pts))
 
 
-def _reduced(args):
-    """Standard model of the input curve, honoring --flex when present."""
-    idx = getattr(args, "flex", None)
-    if args.standard is not None and idx is None:
-        a, b = _parse_pair(args.standard, "--standard")
-        return StandardCurve(a, b), None
+def _standard_at_flex(args):
+    """to_standard of the input curve at its flex number --flex (default 0)."""
     form = _load_curve(args)
     fs = find_flexes(form)
-    i = 0 if idx is None else idx
+    i = 0 if args.flex is None else args.flex
     if not 0 <= i < 9:
         raise InvalidInput(f"--flex must be 0..8; got {i}")
-    curve, amap = to_standard(form, fs[i])
-    return curve, amap
+    return to_standard(form, fs[i])
 
 
 def _cmd_j_invariant(args):
-    if args.hesse is not None and getattr(args, "flex", None) is None:
+    if args.flex is None and args.hesse is not None:
         j = j_of_k(_parse_k(args.hesse))
+    elif args.flex is None and args.standard is not None:
+        j = j_invariant(StandardCurve(*_parse_pair(args.standard, "--standard")))
     else:
-        curve, _ = _reduced(args)
-        j = j_invariant(curve)
+        j = j_invariant(_standard_at_flex(args)[0])
     if args.json:
         _emit(args, _json_dump({"J": scalar_to_json(j)}))
     else:
@@ -208,12 +204,7 @@ def _cmd_j_invariant(args):
 
 
 def _cmd_to_standard(args):
-    form = _load_curve(args)
-    fs = find_flexes(form)
-    i = args.flex if args.flex is not None else 0
-    if not 0 <= i < 9:
-        raise InvalidInput(f"--flex must be 0..8; got {i}")
-    curve, amap = to_standard(form, fs[i])
+    curve, amap = _standard_at_flex(args)
     if args.json:
         _emit(args, _json_dump({
             "a": scalar_to_json(curve.a),

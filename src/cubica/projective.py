@@ -2,10 +2,11 @@
 
 Coordinates are scalars in the sense of cubica.scalars: exact (int,
 Fraction) or floating (float, complex).  Equality is always projective,
-i.e. up to a global nonzero factor, and works through a normal form:
-exact triples are scaled to coprime integers with the first nonzero entry
-positive, floating triples are scaled so the first entry within 1e-12 of
-the largest magnitude is 1.
+i.e. up to a global nonzero factor: exact triples cross-multiply, floating
+ones agree within 1e-9 after scaling.  The normal form scales exact
+triples to coprime integers with the first nonzero entry positive, and
+floating triples so the first entry within 1e-12 of the largest magnitude
+is 1.
 """
 from __future__ import annotations
 
@@ -54,14 +55,6 @@ def _normalize(coords):
     return tuple(out)
 
 
-def _triples_equal(a, b, tol=None) -> bool:
-    if all_exact(a) and all_exact(b):
-        return _normalize(a) == _normalize(b)
-    # proportionality via cross products; comparing normalized forms
-    # elementwise would couple the answer to the pivot choice
-    return _flat_proportional(a, b, tol if tol is not None else 1e-9)
-
-
 @dataclass(frozen=True, eq=False)
 class ProjPoint:
     """A point (x : y : z) of the projective plane."""
@@ -95,7 +88,7 @@ class ProjPoint:
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return _triples_equal(self.coords, other.coords)
+        return _flat_proportional(self.coords, other.coords)
 
     __hash__ = None
 
@@ -143,7 +136,7 @@ class ProjLine:
     def __eq__(self, other):
         if not isinstance(other, ProjLine):
             return NotImplemented
-        return _triples_equal(self.coeffs, other.coeffs)
+        return _flat_proportional(self.coeffs, other.coeffs)
 
     __hash__ = None
 
@@ -255,9 +248,8 @@ class ProjMap:
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise InvalidInput("a projective map needs a 3x3 matrix")
         object.__setattr__(self, "rows", rows)
-        d = _det3(rows)
         if all_exact(v for r in rows for v in r):
-            if d == 0:
+            if _det3(rows) == 0:
                 raise SingularMap("determinant vanishes")
         else:
             # scale rows to unit max-norm before the determinant cutoff

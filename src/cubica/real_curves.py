@@ -67,16 +67,9 @@ def count_components(c: StandardCurve) -> int:
     for v in (c.a, c.b):
         if isinstance(v, complex) and v.imag != 0:
             raise ComplexCoefficients("curve coefficients must be real")
-    expr = 4 * c.a ** 3 + 27 * c.b ** 2
-    if c.is_exact:
-        if expr == 0:
-            raise SingularCurve("4a^3 + 27b^2 = 0")
-        return 2 if expr < 0 else 1
-    scale = max(abs(complex(4 * c.a ** 3)), abs(complex(27 * c.b ** 2)), 1e-300)
-    val = complex(expr).real
-    if abs(val) <= 1e-12 * scale:
-        raise SingularCurve("4a^3 + 27b^2 vanishes within tolerance")
-    return 2 if val < 0 else 1
+    if not c.is_smooth():
+        raise SingularCurve("4a^3 + 27b^2 vanishes")
+    return 2 if c.discriminant().real > 0 else 1
 
 
 _HESSE_REAL_FLEXES = (

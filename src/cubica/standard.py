@@ -1,13 +1,14 @@
 """The normal form y^2 = x^3 + ax + b and everything read off from it.
 
-The reduction from a general cubic with a marked flex runs in four steps:
-move the flex to (0:1:0) with tangent z=0, scale so the x^3 and y^2 z
-coefficients match up to sign, then two shears to kill the remaining
-mixed terms.  Over exact rational input with a rational flex every step
-stays in exact arithmetic; no root extraction is needed.
+The reduction from a general cubic with a marked flex substitutes twice:
+a basis map sends the flex to (0:1:0) with tangent z=0, then one
+closed-form matrix scales x and y, completes the square in y and shifts x.
+Over exact rational input with a rational flex both substitutions run on
+integers; no root extraction is needed.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from .errors import (
     SingularCurve,
     ZeroScale,
 )
-from .projective import ProjMap, ProjPoint, _normalize
+from .projective import ProjMap, ProjPoint, _adjugate, _det3, _normalize
 from .scalars import _integral, all_exact, collapse, is_exact, roots_cubic
 
 
@@ -66,18 +67,13 @@ class StandardCurve:
 
 def j_invariant(c: StandardCurve):
     """J = 4a^3 / (4a^3 + 27b^2); exact for exact curves."""
+    if not c.is_smooth():
+        raise SingularCurve("4a^3 + 27b^2 vanishes")
     a, b = c.a, c.b
     if c.is_exact:
-        den = 4 * Fraction(a) ** 3 + 27 * Fraction(b) ** 2
-        if den == 0:
-            raise SingularCurve("4a^3 + 27b^2 = 0")
-        return collapse(4 * Fraction(a) ** 3 / den)
+        return collapse(Fraction(4 * a ** 3, 4 * a ** 3 + 27 * b ** 2))
     a4 = 4 * complex(a) ** 3
-    b27 = 27 * complex(b) ** 2
-    den = a4 + b27
-    if abs(den) <= 1e-12 * max(abs(a4), abs(b27), 1e-300):
-        raise SingularCurve("4a^3 + 27b^2 vanishes within tolerance")
-    val = a4 / den
+    val = a4 / (a4 + 27 * complex(b) ** 2)
     if val.imag == 0.0 or (not isinstance(a, complex) and not isinstance(b, complex)):
         return val.real
     return val
@@ -104,12 +100,7 @@ def _third_basis_column(c0, c1):
     best_mag = -1.0
     for idx in range(3):
         e = tuple(1 if n == idx else 0 for n in range(3))
-        rows = (c0, c1, e)
-        det = (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
+        det = _det3((c0, c1, e))
         mag = abs(complex(det))
         if mag > best_mag:
             best, best_mag = e, mag
@@ -125,10 +116,13 @@ def to_standard(form: CubicForm, flex: ProjPoint):
     the standard-form cubic.  Exact input (rational coefficients, rational
     flex) produces exact (a, b) and an exact map.
 
-    Each step substitutes a scale-free map, such as diag(-h, -h, g) for
-    diag(-h/g, -h/g, 1), into psi kept up to scale by _normalize (coprime
-    ints on exact input).  A is still literally the inverse of the product
-    of the divided maps.
+    Two substitutions, each kept up to scale by _normalize (coprime ints
+    on exact input).  The basis map m gives psi, with the flex at (0:1:0)
+    and tangent z=0.  One matrix D, written in closed form from psi's
+    coefficients, then scales, completes the square and shifts x
+    (Silverman, The Arithmetic of Elliptic Curves, III.1); psi o D is the
+    form o m D.  On exact input D's denominators are cleared first, so
+    both substitutions run on integers, and A is literally (m D)^{-1}.
     """
     p = flex.normalized()
     line = tangent_line(form, p)
@@ -139,18 +133,15 @@ def to_standard(form: CubicForm, flex: ProjPoint):
         raise NotAFlex(f"tangent contact residual {defect:.2e}")
 
     c0, c1 = _normalize(_line_second_point(line.normalized().coeffs, p.coords)), p.coords
-    c2 = _third_basis_column(c0, c1)
-    m = ProjMap.from_columns(c0, c1, c2)
+    m = tuple(zip(c0, c1, _third_basis_column(c0, c1)))
     exact = form.is_exact and p.is_exact
+    base = _integral(form.coeffs)[0] if exact else form.coeffs
 
-    def substitute(psi, rows):
-        return CubicForm(_normalize(_substitute(psi, rows)))
-
-    # step 1: flex at (0:1:0), tangent z=0
-    psi = substitute(_integral(form.coeffs)[0] if exact else form.coeffs, m.rows)
-    top = max(abs(complex(c)) for c in psi.coeffs)
-    g = psi.coeff(3, 0, 0)
-    h = psi.coeff(0, 2, 1)
+    psi = _normalize(_substitute(base, m))
+    top = max(abs(complex(c)) for c in psi)
+    # g, e, s, h, t: the x^3, x^2 z, xyz, y^2 z and yz^2 coefficients; the
+    # x^2 y, xy^2 and y^3 ones vanish at an exact flex, not at a float one
+    g, x2y, e, xy2, s, _, y3, h, t, _ = psi
 
     def tiny(v):
         return v == 0 if exact else abs(complex(v)) <= 1e-10 * top
@@ -160,29 +151,29 @@ def to_standard(form: CubicForm, flex: ProjPoint):
     if tiny(h):
         raise SingularAtFlex("curve is singular at the marked flex")
 
-    # step 2: x -> -hx, y -> -hy, z -> gz makes the x^3 and y^2 z
-    # coefficients negatives of each other
-    s2 = ((-h, 0, 0), (0, -h, 0), (0, 0, g))
-    psi = substitute(psi.coeffs, s2)
+    # D: x, y -> dx, dy makes the x^3 and y^2 z coefficients negatives of
+    # each other, y -> y - (Sx + Tz)/2 then completes the square, and
+    # x -> x + wz removes the x^2 z term; x3 and -x2 are the x^3 and x^2 z
+    # coefficients after the square, over d^3
+    div = Fraction if exact else operator.truediv
+    d, S, T, E = div(-h, g), div(s, h), div(-t * g, h * h), div(e, h)
+    x3 = g - S * (x2y - S * (xy2 - S * y3 / 2) / 2) / 2
+    if x3 == 0:
+        raise NotAFlex("tangent line meets the curve beyond the flex")
+    x2 = g * (E - S * S / 4) + T * (x2y - S * xy2 + 3 * S * S * y3 / 4) / 2
+    w = x2 / (3 * x3)
+    dmap = ((d, 0, d * w), (-d * S / 2, d, -d * (S * w + T) / 2), (0, 0, 1))
+    if exact:
+        flat, den = _integral([v for r in dmap for v in r])
+        dmap = (flat[0:3], flat[3:6], flat[6:9])
+    else:
+        den = 1
+    cs = _normalize(_substitute(psi, dmap))
+    # A = (m D)^{-1} = den adj(den m D) / det(den m D)
+    md = tuple(tuple(sum(r[k] * dmap[k][j] for k in range(3)) for j in range(3)) for r in m)
+    det = _det3(md)
+    a_map = ProjMap(tuple(tuple(div(den * v, det) for v in r) for r in _adjugate(md)))
 
-    # step 3: y -> y + (sx + tz)/2, s and t the xyz and yz^2 coefficients
-    # over minus the y^2 z one, removes those terms
-    d3 = -2 * psi.coeff(0, 2, 1)
-    s3 = ((d3, 0, 0), (psi.coeff(1, 1, 1), d3, psi.coeff(0, 1, 2)), (0, 0, d3))
-    psi = substitute(psi.coeffs, s3)
-
-    # step 4: x -> x - (p'/3) z, p' the x^2 z coefficient over the x^3 one,
-    # removes the x^2 z term
-    d4 = 3 * psi.coeff(3, 0, 0)
-    s4 = ((d4, 0, -psi.coeff(2, 0, 1)), (0, d4, 0), (0, 0, d4))
-    psi = substitute(psi.coeffs, s4)
-
-    # s2, s3 and s4 are g, d3 and d4 times the divided maps
-    lam = g * d3 * d4
-    b_map = m.compose(ProjMap(s2)).compose(ProjMap(s3)).compose(ProjMap(s4))
-    a_map = ProjMap(tuple(tuple(lam * v for v in r) for r in b_map.inverse().rows))
-
-    cs = psi.coeffs
     lead = cs[0]
     if exact:
         if cs[7] != -lead or any(cs[i] != 0 for i in (1, 2, 3, 4, 6, 8)):

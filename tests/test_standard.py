@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cubica.cubic import find_flexes
+from cubica.cubic import CubicForm, find_flexes, transform
 from cubica.errors import NotAFlex, SingularCurve, ZeroScale
 from cubica.hesse import hesse_form, j_of_k
-from cubica.projective import ProjPoint
+from cubica.projective import ProjMap, ProjPoint
 from cubica.standard import (
     StandardCurve,
     automorphism_order,
@@ -70,11 +71,57 @@ def test_to_standard_from_pencil_member():
     assert abs(complex(j) - 512.0 / 343.0) < 1e-8
 
 
+def test_to_standard_map_carries_the_curve_to_its_standard_form_exactly():
+    # y^2 = x^3 + ax + b moved by an integer map M has the flex M (0:1:0);
+    # the returned A must carry the moved curve onto y^2 = x^3 + a'x + b'
+    # for the returned (a', b'), and J must not move
+    rng = random.Random(5)
+    checked = 0
+    while checked < 40:
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        b = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
+        curve = StandardCurve(a, b)
+        if not curve.is_smooth() or round(np.linalg.det(rows)) == 0:
+            continue
+        form = transform(curve.cubic_form(), ProjMap(rows))
+        got, amap = to_standard(form, ProjPoint(*(r[1] for r in rows)))
+        assert got.is_exact and amap.is_exact
+        image = transform(form, amap).normalized().coeffs
+        assert image == got.cubic_form().normalized().coeffs, (a, b, rows)
+        assert j_invariant(got) == j_invariant(curve)
+        checked += 1
+
+
+@pytest.mark.parametrize("k", [0.5, -2.0, 3.0, complex(0.3, 1.1)])
+def test_to_standard_map_carries_pencil_members_to_their_standard_form(k):
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        amap = ProjMap(tuple(map(tuple, rng.normal(size=(3, 3)).tolist())))
+        form = transform(hesse_form(k), amap)
+        for flex in find_flexes(form):
+            got, a = to_standard(form, flex)
+            # both scaled to x^3 coefficient 1, the standard form's own
+            image = np.array([complex(c) for c in transform(form, a).coeffs])
+            want = np.array([complex(c) for c in got.cubic_form().coeffs])
+            assert np.abs(image / image[0] - want).max() <= 1e-9 * np.abs(want).max(), (k, flex)
+
+
 def test_to_standard_rejects_non_flex():
     c = StandardCurve(0, 1)
     # (2, 3) is on the curve but not a flex
     with pytest.raises(NotAFlex):
         to_standard(c.cubic_form(), ProjPoint(2, 3, 1))
+
+
+@pytest.mark.parametrize("scalar", [int, float])
+def test_to_standard_rejects_near_flex_whose_tangent_meets_the_curve_again(scalar):
+    # 2e6 x^3 + x^2 y + 4e6 xyz + y^2 z + z^3 at (0:1:0): tangent z = 0 and
+    # contact defect 5e-7, below the gate, but after the completed square
+    # y -> y - 2e6 x the x^3 coefficient is 2e6 - 2e6 = 0
+    form = CubicForm(tuple(scalar(c) for c in (2 * 10 ** 6, 1, 0, 0, 4 * 10 ** 6, 0, 0, 1, 0, 1)))
+    with pytest.raises(NotAFlex):
+        to_standard(form, ProjPoint(0, 1, 0))
 
 
 def test_triangle_tags_frozen():

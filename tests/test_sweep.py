@@ -5,7 +5,8 @@ move under real maps in three condition bands and are rescaled by 10^e;
 six singular families move under integer maps, exact and rounded to
 floats.  Each form is checked against what its construction says: a
 pencil member is smooth, a singular family has known singular points,
-which the map carries along.
+which the map carries along.  In the two lower bands, to_standard at the
+first flex must keep the member's J at scales 10^+-6 and 10^+-100.
 """
 import random
 
@@ -14,8 +15,9 @@ import pytest
 
 from cubica.cubic import MONOMIALS, CubicForm, find_flexes, is_smooth, singular_points, transform
 from cubica.errors import SingularCurve
-from cubica.hesse import hesse_form, to_hesse
+from cubica.hesse import hesse_form, j_of_k, to_hesse
 from cubica.projective import ProjMap
+from cubica.standard import j_invariant, to_standard
 
 BANDS = ((1, 10), (10, 100), (100, 1000))
 SCALES = (1.0, 1e6, 1e-6, 1e100, 1e-100)
@@ -50,13 +52,25 @@ def _smooth_forms(lo, hi, count=100):
                 break
         moved = transform(hesse_form(k), _band_map(rng, lo, hi))
         for e in SCALES:
-            yield CubicForm(tuple(c * e for c in moved.coeffs))
+            yield k, e, CubicForm(tuple(c * e for c in moved.coeffs))
 
 
 @pytest.mark.parametrize("band", BANDS, ids=lambda b: f"{b[0]}-{b[1]}")
 def test_sweep_smooth_members_are_smooth(band):
-    bad = [f for f in _smooth_forms(*band) if not is_smooth(f)]
+    bad = [f for _, _, f in _smooth_forms(*band) if not is_smooth(f)]
     assert not bad, bad[:3]
+
+
+# in band 100-1000 find_flexes can return a flex whose defect exceeds
+# to_standard's 1e-6 gate, so J is checked in the two lower bands only
+@pytest.mark.parametrize("band", BANDS[:2], ids=lambda b: f"{b[0]}-{b[1]}")
+def test_sweep_to_standard_keeps_j(band):
+    # the bench's slack for J, 1e-10 cond^2, at the band's top condition
+    tol = 1e-10 * band[1] ** 2
+    for k, _, form in (t for t in _smooth_forms(*band) if t[1] != 1.0):
+        curve, _ = to_standard(form, find_flexes(form)[0])
+        want = complex(j_of_k(k))
+        assert abs(complex(j_invariant(curve)) - want) <= tol * max(1.0, abs(want)), (k, form)
 
 
 def _integer_maps(count=50):
