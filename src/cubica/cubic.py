@@ -26,9 +26,12 @@ from .errors import (
     SingularCurve,
 )
 from .projective import (
-    _PIVOT_TIE, ProjLine, ProjMap, ProjPoint, _flat_proportional, _integer_adjugate, _normalize, proj_distance,
+    ProjLine, ProjMap, ProjPoint, _flat_proportional, _integer_adjugate, _normalize, proj_distance,
 )
-from .scalars import _integral, all_exact, collapse, is_exact, poly_roots, scalar_from_json, scalar_to_json
+from .scalars import (
+    COINCIDENCE, FLEX_CONTACT, FLEX_DERIVED, FLEX_SEPARATION, LEADING_DROP, PIVOT_TIE, ROUNDING, SINGULAR_RANK,
+    _integral, all_exact, collapse, is_exact, negligible, poly_roots, scalar_from_json, scalar_to_json,
+)
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -225,6 +228,17 @@ class CubicForm:
         raise InvalidInput("unknown cubic form description")
 
 
+def _float_form(form: CubicForm) -> CubicForm:
+    """The form with floating coefficients: an exact one divided exactly by
+    its largest coefficient first, so that coefficients of any height
+    convert (int / int rounds correctly); a floating one as it is."""
+    if form.is_exact:
+        ints, _ = _integral(form.coeffs)
+        top = max(map(abs, ints))
+        return CubicForm(tuple(v / top for v in ints))
+    return form
+
+
 def evaluate_grid(form: CubicForm, x, y, z):
     """Vectorized evaluation on numpy arrays (used by the renderers)."""
     acc = np.zeros(np.broadcast(x, y, z).shape)
@@ -310,10 +324,10 @@ def restrict_to_line(form: CubicForm, p: ProjPoint, q: ProjPoint):
 
 def tangent_line(form: CubicForm, p: ProjPoint) -> ProjLine | None:
     """Gradient line at a point; None where the gradient vanishes: exactly at
-    an exact point of an exact form, else below 1e-12 of the top coefficient."""
+    an exact point of an exact form, else to ROUNDING of the top coefficient."""
     g = form.gradient(p.normalized())
-    if (not any(g)) if all_exact(g) else (
-            max(abs(complex(v)) for v in g) <= 1e-12 * max(abs(complex(c)) for c in form.coeffs)):
+    top = max(abs(c) for c in form.coeffs)
+    if all(negligible(v, top, ROUNDING) for v in g):
         return None
     return ProjLine(*g)
 
@@ -332,9 +346,26 @@ def _line_second_point(line, p):
             return cand
         if d > best_d:
             best, best_d = cand, d
-    if best is None or best_d <= 1e-12:
+    if best is None or best_d <= COINCIDENCE:
         raise InvalidInput("line has no second point distinct from p")
     return best
+
+
+def _contact_defect(c, p, q) -> float:
+    """max(|c0|, |c1|, |c2|) / max |c_i| for the restriction c of a form to
+    the tangent line at p through q (see restrict_to_line), p and q
+    normalized triples."""
+    if all_exact(c):
+        # c_i as if p and q had largest coordinate 1, as the floating
+        # points do, kept exact whatever the height of p and q
+        sp, sq = (max(abs(v) for v in r) for r in (p, q))
+        mags = [Fraction(abs(v), sp ** (3 - i) * sq ** i) for i, v in enumerate(c)]
+    else:
+        mags = [abs(v) for v in c]
+    top = max(mags)
+    if top == 0:
+        return math.inf
+    return float(max(mags[0], mags[1], mags[2]) / top)
 
 
 def flex_defect(form: CubicForm, p: ProjPoint) -> float:
@@ -350,21 +381,10 @@ def flex_defect(form: CubicForm, p: ProjPoint) -> float:
     if line is None:
         return math.inf
     q = ProjPoint(*_line_second_point(line.normalized().coeffs, pn.coords)).normalized()
-    c = restrict_to_line(fn, pn, q)
-    if all_exact(c):
-        # c_i as if p and q had largest coordinate 1, as the floating
-        # points do, kept exact whatever the height of p and q
-        sp, sq = (max(abs(v) for v in r.coords) for r in (pn, q))
-        mags = [Fraction(abs(v), sp ** (3 - i) * sq ** i) for i, v in enumerate(c)]
-    else:
-        mags = [abs(complex(v)) for v in c]
-    top = max(mags)
-    if top == 0:
-        return math.inf
-    return float(max(mags[0], mags[1], mags[2]) / top)
+    return _contact_defect(restrict_to_line(fn, pn, q), pn.coords, q.coords)
 
 
-def is_flex(form: CubicForm, p: ProjPoint, tol: float = 1e-6) -> bool:
+def is_flex(form: CubicForm, p: ProjPoint, tol: float = FLEX_CONTACT) -> bool:
     return flex_defect(form, p) <= tol
 
 
@@ -521,20 +541,6 @@ _SPLIT_RESTRICTION = np.array([
     restrict_to_line(CubicForm(tuple(e)), *(ProjPoint(*v) for v in _SPLIT_LINE)) for e in np.eye(10)
 ])
 
-# Sides real to this tolerance (after scaling their largest entry to 1) are
-# made real, so that a real triangle gives a real map.
-_REAL_SIDE_TOL = 1e-6
-
-# Points closer than this are one point.  Measured nearest-pair distances
-# of flexes: at least 8.3e-3 on 1800 curves of the bench's exact workload
-# (condition numbers up to 100), 2.0e-2 on 2400 of its reduce curves and
-# 0.29 on 300 random complex cubics.  It no longer screens singular forms,
-# which the verdict (_smooth_coefficients) turns away first.  Under 200
-# integer maps with entries in -3..3, exact and rounded to floats, the
-# points of a cusp and a tacnode split by at most 3.0e-6 and 1.4e-4 in
-# singular_points, and distinct singular points lay 0.17 apart or more.
-_FLEX_SEPARATION = 1e-3
-
 
 # 3^6 5^3 / |p|^6 for the ten points p, an integer: |f(p)|^2 times it
 # orders the points as |f(p)| / |p|^3 does, exactly on exact input
@@ -589,17 +595,6 @@ _JACOBIAN = np.array([
     [_times(q, w) for q in _first_partials(e) for w in np.eye(3, dtype=int)] for e in np.eye(10, dtype=int)
 ])
 
-# A floating curve is singular when the smallest singular value of the
-# matrix of _smooth_coefficients is at most this fraction of the largest.
-# Measured on smooth pencil members under real maps, at scales 1, 1e+-6 and
-# 1e+-100: at least 1.6e-5, 1.9e-9 and 3.5e-13 in the condition bands 1-10,
-# 10-100 and 100-1000, 1.6e-17 near condition 1e4.  On nodes, cusps,
-# tacnodes, triangles, conics with a secant and concurrent lines: at most
-# 2.3e-16 under integer maps, rounded to floats, and 2.3e-14 under float
-# maps of condition < 300, but nodes reached 1.6e-12 under float maps of
-# condition 300-1000 (9 of 900 above this cut).
-_RANK_TOL = 1e-13
-
 
 def _representative(form: CubicForm):
     """The form's coefficients as the verdict and the constructions use
@@ -626,7 +621,7 @@ def _smooth_coefficients(form: CubicForm):
     the one direction M misses (the socle of the Jacobian ring), while at a
     singular point p every x_i f_j and the Hessian vanish, so the monomials
     of p are a kernel vector.  The curve is singular when the smallest
-    singular value is at most _RANK_TOL times the largest, which calls
+    singular value is at most SINGULAR_RANK times the largest, which calls
     smooth curves smooth under maps of condition up to 1e3.
     """
     c = _representative(form)
@@ -640,7 +635,7 @@ def _smooth_coefficients(form: CubicForm):
     else:
         m, h = np.tensordot(np.array(c), _JACOBIAN, 1), np.array(hc)
         s = np.linalg.svd(np.vstack([m / np.linalg.norm(m), h / np.linalg.norm(h)]), compute_uv=False)
-        singular = s[-1] <= _RANK_TOL * s[0]
+        singular = s[-1] <= SINGULAR_RANK * s[0]
     if singular:
         raise SingularCurve("curve is singular")
     return c, hc
@@ -739,14 +734,14 @@ def _pencil_triangles(c, hc):
             continue
         unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         cos = np.abs(unit.conj() @ unit.T) - 2 * np.eye(9)
-        if np.sqrt(max(0.0, 1 - cos.max() ** 2)) > _FLEX_SEPARATION:
+        if np.sqrt(max(0.0, 1 - cos.max() ** 2)) > FLEX_SEPARATION:
             break
     else:
         raise ConvergenceFailure("no two triangles meet in nine distinct flexes")
     # each flex in the normal form of ProjPoint.normalized
     rows = np.arange(9)
     mags = np.abs(pts)
-    pivot = (mags >= (1 - _PIVOT_TIE) * mags.max(axis=1, keepdims=True)).argmax(axis=1)
+    pivot = (mags >= (1 - PIVOT_TIE) * mags.max(axis=1, keepdims=True)).argmax(axis=1)
     normal = pts / pts[rows, pivot][:, None]
     normal[rows, pivot] = 1
     real = (normal.imag == 0).all(axis=1)
@@ -765,7 +760,7 @@ def _pencil_triangles(c, hc):
     null = cof[np.arange(len(cof)), (np.abs(cof) ** 2).sum(axis=2).argmax(axis=1)]
     # each side scaled to largest entry 1, with real entries when it is real
     null /= null[np.arange(len(null)), np.abs(null).argmax(axis=1)][:, None]
-    real = np.abs(null.imag).max(axis=1) <= _REAL_SIDE_TOL
+    real = np.abs(null.imag).max(axis=1) <= FLEX_DERIVED
     sides = [tuple((g.real if r else g).tolist()) for g, r in zip(null, real)]
     triangles = [tuple(sides[i:i + 3]) for i in range(0, len(sides), 3)]
     return triangles, flexes
@@ -808,64 +803,33 @@ def find_flexes(form: CubicForm) -> FlexSet:
 def _match_hesse_pattern(form: CubicForm):
     """(kind, value) for recognizably Hesse-shaped coefficient tuples."""
     c = form.coeffs
-    top = max(abs(complex(v)) for v in c)
-    zero = (
-        (lambda v: v == 0)
-        if form.is_exact
-        else (lambda v: abs(complex(v)) <= 1e-14 * top)
-    )
-    others = [c[i] for i in (1, 2, 3, 5, 7, 8)]
-    if not all(zero(v) for v in others):
+    top = max(abs(v) for v in c)
+    if not all(negligible(c[i], top, LEADING_DROP) for i in (1, 2, 3, 5, 7, 8)):
         return None
     cubes = (c[0], c[6], c[9])
-    if all(zero(v) for v in cubes):
-        if zero(c[4]):
-            return None
-        return ("infinity", None)
+    if all(negligible(v, top, LEADING_DROP) for v in cubes):
+        return None if negligible(c[4], top, LEADING_DROP) else ("infinity", None)
+    if any(negligible(v, top, LEADING_DROP) for v in cubes) or not all(
+            negligible(v - c[0], top, ROUNDING) for v in cubes):
+        return None
     if form.is_exact:
-        if not (c[0] == c[6] == c[9] != 0):
-            return None
-        k = -Fraction(c[4]) / (3 * Fraction(c[0]))
-        return ("finite", collapse(k))
-    if any(zero(v) for v in cubes):
-        return None
-    if not all(abs(complex(v) - complex(c[0])) <= 1e-12 * top for v in cubes):
-        return None
+        return ("finite", collapse(-Fraction(c[4]) / (3 * Fraction(c[0]))))
     k = -complex(c[4]) / (3 * complex(c[0]))
-    if abs(k.imag) == 0.0:
-        k = k.real
-    return ("finite", k)
+    return ("finite", k.real if k.imag == 0.0 else k)
 
 
 def _match_standard_pattern(form: CubicForm):
     """(a, b) when the form is -y^2 z + x^3 + a x z^2 + b z^3 up to scale."""
-    c = form.coeffs
-    top = max(abs(complex(v)) for v in c)
-    zero = (
-        (lambda v: v == 0)
-        if form.is_exact
-        else (lambda v: abs(complex(v)) <= 1e-14 * top)
-    )
-    if not all(zero(c[i]) for i in (1, 2, 3, 4, 6, 8)):
+    c, s = form.coeffs, form.coeffs[0]
+    top = max(abs(v) for v in c)
+    if not all(negligible(c[i], top, LEADING_DROP) for i in (1, 2, 3, 4, 6, 8)):
         return None
-    s = c[0]
-    if zero(s):
+    if negligible(s, top, LEADING_DROP) or not negligible(c[7] + s, top, ROUNDING):
         return None
     if form.is_exact:
-        if c[7] != -s:
-            return None
-        a = Fraction(c[5]) / Fraction(s)
-        b = Fraction(c[9]) / Fraction(s)
-        return collapse(a), collapse(b)
-    if abs(complex(c[7]) + complex(s)) > 1e-12 * top:
-        return None
-    a = complex(c[5]) / complex(s)
-    b = complex(c[9]) / complex(s)
-    if a.imag == 0.0:
-        a = a.real
-    if b.imag == 0.0:
-        b = b.real
-    return (a, b)
+        return collapse(Fraction(c[5]) / Fraction(s)), collapse(Fraction(c[9]) / Fraction(s))
+    a, b = (complex(v) / complex(s) for v in (c[5], c[9]))
+    return tuple(v.real if v.imag == 0.0 else v for v in (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -917,7 +881,7 @@ def singular_points(form: CubicForm) -> list[ProjPoint]:
     when the ten monomials of p are a kernel vector of their 9 x 10
     coefficient matrix (see _JACOBIAN; Stetter, "Numerical Polynomial
     Algebra", SIAM 2004, ch. 2).  The kernel comes from Fraction row
-    reduction on exact input, from the SVD cut at _RANK_TOL on floats, and
+    reduction on exact input, from the SVD cut at SINGULAR_RANK on floats, and
     its dimension r tells the curve apart:
 
     - r = 1, a node: the kernel vector gives the point, exactly on exact
@@ -927,7 +891,7 @@ def singular_points(form: CubicForm) -> list[ProjPoint]:
       z, are shifts of one another by t(p) at each point p, so the
       eigenvectors of two fixed combinations of the shifts (the points of
       _SPLIT_LINE) give the points; the split points of a defective
-      eigenvalue closer than _FLEX_SEPARATION are one, their average;
+      eigenvalue closer than FLEX_SEPARATION are one, their average;
     - r = 4, three concurrent lines: the point where all six second
       partials vanish, exact on exact input;
     - r > 4, a repeated factor, a whole line of singular points:
@@ -941,7 +905,7 @@ def singular_points(form: CubicForm) -> list[ProjPoint]:
         kernel = _exact_kernel(m)
     else:
         _, sv, vh = np.linalg.svd(m)
-        kernel = vh[(sv > _RANK_TOL * sv[0]).sum():].conj()
+        kernel = vh[(sv > SINGULAR_RANK * sv[0]).sum():].conj()
     r = len(kernel)
     if r > 4:
         raise DegenerateForm("the form has a repeated factor: a line of singular points")
@@ -957,7 +921,7 @@ def singular_points(form: CubicForm) -> list[ProjPoint]:
         unit = np.array([_read_point(v) for v in w])
         unit /= np.linalg.norm(unit, axis=1, keepdims=True)
         # each eigenvector joins the first whose point is that close to its own
-        first = (1 - np.abs(unit.conj() @ unit.T) ** 2 < _FLEX_SEPARATION ** 2).argmax(axis=0)
+        first = (1 - np.abs(unit.conj() @ unit.T) ** 2 < FLEX_SEPARATION ** 2).argmax(axis=0)
         points = []
         for i in np.unique(first):
             # the members scaled by the same entry, so that the first-order

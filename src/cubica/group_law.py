@@ -19,7 +19,7 @@ from .cubic import (
     _line_second_point,
     _match_standard_pattern,
     find_flexes,
-    flex_defect,
+    is_flex,
 )
 from .errors import (
     ConvergenceFailure,
@@ -28,9 +28,7 @@ from .errors import (
     SingularCurve,
 )
 from .projective import ProjPoint, _flat_proportional, _normalize
-from .scalars import _integral
-
-_MEMBER_TOL = 1e-9
+from .scalars import CHORD_ZERO, COINCIDENCE, ROUNDING, TOLERANCE, _integral, negligible
 
 
 def _project_to_curve(form: CubicForm, coords):
@@ -62,8 +60,7 @@ class CurvePoint:
         pt = self.point.normalized()
         object.__setattr__(self, "point", pt)
         val = self.curve.evaluate(pt.coords)
-        if (val != 0) if self.curve.is_exact and pt.is_exact else (
-                abs(complex(val)) > _MEMBER_TOL * max(abs(complex(c)) for c in self.curve.coeffs)):
+        if not negligible(val, max(map(abs, self.curve.coeffs)), TOLERANCE):
             raise InvalidInput(f"point {pt.coords} is not on the curve: the form is {val} there")
 
     @property
@@ -75,7 +72,7 @@ class CurvePoint:
         at infinity."""
         exact = self.point.is_exact
         x, y, z = self.point.coords if exact else self.point.to_complex()
-        if (z == 0) if exact else (abs(z) < 1e-12):
+        if negligible(z, 1, COINCIDENCE):
             raise InvalidInput("point at infinity has no affine coordinates")
         return (Fraction(x, z), Fraction(y, z)) if exact else (x / z, y / z)
 
@@ -96,21 +93,17 @@ def _same_curve(p: CurvePoint, q: CurvePoint):
 
 class _CurveData:
     """A curve as its chords use it: the form, its integer representative
-    for exact chords (the third point does not depend on the scale), and |F|
-    and the coefficient scale, built on first use (an exact form may lie
-    past the float range)."""
+    for exact chords (the third point does not depend on the scale), the
+    coefficient scale, and |F|, built on first use."""
 
     def __init__(self, curve: CubicForm):
         self.curve, self.exact = curve, curve.is_exact
         self.ints = CubicForm(_integral(curve.coeffs)[0]) if self.exact else None
+        self.scale = max(map(abs, curve.coeffs))
 
     @cached_property
     def sizes(self) -> CubicForm:
-        return CubicForm(tuple(abs(complex(c)) for c in self.curve.coeffs))
-
-    @cached_property
-    def scale(self) -> float:
-        return max(self.sizes.coeffs)
+        return CubicForm(tuple(abs(c) for c in self.curve.coeffs))
 
 
 def _restriction(form: CubicForm, p, q, tangent):
@@ -127,7 +120,7 @@ def _chord(data: _CurveData, p, q, tangent=None):
     tangent is None), normalized.  A normalized triple is all ints or all
     floating, so its first entry says which.  Exact steps run in integers
     with == 0 guards; floating ones count a restriction coefficient as zero
-    below 1e-13 times the sum of its terms' sizes (the restriction of |F| to
+    to CHORD_ZERO of the sum of its terms' sizes (the restriction of |F| to
     |p| and |q|) and project the third point back onto the curve."""
     pe, qe = isinstance(p[0], int), isinstance(q[0], int)
     exact = data.exact and pe and qe
@@ -136,22 +129,21 @@ def _chord(data: _CurveData, p, q, tangent=None):
         tangent = p == q if pe and qe else _flat_proportional(p, q)
     if tangent:
         g = form.gradient(p)
-        if (not any(g)) if data.exact and pe else max(abs(complex(v)) for v in g) <= 1e-12 * data.scale:
+        if all(negligible(v, data.scale, ROUNDING) for v in g):
             raise SingularCurve("gradient vanishes; no tangent line")
         q = _line_second_point(_normalize(g), p)
     a, b = _restriction(form, p, q, tangent)
     # |F| is termwise at most scale (x + y + z)^3, so a size is at most
     # 3 scale m^3, m the larger of sum |p_i| and sum |q_i|: most floating
     # steps clear the gate without summing the sizes
-    m = 0 if exact else max(sum(abs(complex(c)) for c in r) for r in (p, q))
-    if (a == 0 and b == 0) if exact else max(abs(a), abs(b)) <= 4e-13 * data.scale * m * m * m and all(
-        abs(complex(c)) <= 1e-13 * size
-        for c, size in zip((a, b), _restriction(
-            data.sizes, *([abs(complex(c)) for c in r] for r in (p, q)), tangent))
+    m = 0 if exact else max(sum(abs(c) for c in r) for r in (p, q))
+    if (a == 0 and b == 0) if exact else max(abs(a), abs(b)) <= 4 * CHORD_ZERO * data.scale * m * m * m and all(
+        negligible(c, size, CHORD_ZERO)
+        for c, size in zip((a, b), _restriction(data.sizes, *([abs(c) for c in r] for r in (p, q)), tangent))
     ):
         raise ConvergenceFailure(f"{'tangent' if tangent else 'chord'} restriction vanished")
     third = tuple(b * u - a * v for u, v in zip(p, q))
-    if all((c == 0 if exact else abs(complex(c)) < 1e-300) for c in third):
+    if all(negligible(c, 1, 1e-300) for c in third):
         raise ConvergenceFailure("third intersection is indeterminate")
     return _normalize(third if exact else _project_to_curve(data.curve, third))
 
@@ -175,7 +167,7 @@ class BasedGroup:
         self.double_base = curve_point(curve, _chord(self._data, self._o, self._o, True))
 
     def is_flex_based(self) -> bool:
-        return flex_defect(self.curve, self.base.point) <= 1e-6
+        return is_flex(self.curve, self.base.point)
 
 
 def flex_based_group(curve: CubicForm) -> BasedGroup:

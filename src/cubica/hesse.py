@@ -15,10 +15,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cubic import MONOMIALS, CubicForm, _from_pencil_triangles, transform
+from .cubic import MONOMIALS, CubicForm, _float_form, _from_pencil_triangles, transform
 from .errors import ConvergenceFailure, InvalidInput, SingularParameter
 from .projective import ProjMap, ProjPoint, _flat_proportional
-from .scalars import collapse, is_exact, poly_roots
+from .scalars import (
+    COINCIDENCE, LEADING_DROP, PENCIL_RESIDUAL, REDUCTION_DUST, ROUNDING, TOLERANCE,
+    collapse, is_exact, negligible, poly_roots,
+)
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
@@ -41,9 +44,7 @@ def hesse_form(k) -> CubicForm:
 def is_smooth_parameter(k) -> bool:
     if _is_infinite(k):
         return False
-    if is_exact(k):
-        return k ** 3 != 1
-    return abs(complex(k) ** 3 - 1) > 1e-9
+    return not negligible((k if is_exact(k) else complex(k)) ** 3 - 1, 1, TOLERANCE)
 
 
 def exceptional_points() -> list[ProjPoint]:
@@ -127,7 +128,7 @@ def j_of_k(k):
         val = (kf * (u + 8) / (4 * (u - 1))) ** 3
         return collapse(val)
     kc = complex(k)
-    if abs(kc ** 3 - 1) <= 1e-9:
+    if negligible(kc ** 3 - 1, 1, TOLERANCE):
         raise SingularParameter(f"k={k} is within tolerance of a singular member")
     val = (kc * (kc ** 3 + 8) / (4 * (kc ** 3 - 1))) ** 3
     if not isinstance(k, complex):
@@ -169,14 +170,9 @@ class MobiusMap:
         if len(e) != 4:
             raise InvalidInput("a Mobius map has 4 entries")
         a, b, c, d = e
-        if all(is_exact(v) for v in e):
-            if a * d - b * c == 0:
-                raise InvalidInput("Mobius map has zero determinant")
-        else:
-            ec = [complex(v) for v in e]
-            top = max(abs(v) for v in ec)
-            if top == 0 or abs(ec[0] * ec[3] - ec[1] * ec[2]) <= 1e-12 * top * top:
-                raise InvalidInput("Mobius map has zero determinant")
+        top = max(abs(v) for v in e)
+        if negligible(a * d - b * c, top * top, COINCIDENCE):
+            raise InvalidInput("Mobius map has zero determinant")
         object.__setattr__(self, "entries", e)
 
     def apply(self, k):
@@ -191,12 +187,12 @@ class MobiusMap:
             return collapse(val)
         a, b, c, d = (complex(v) for v in self.entries)
         if _is_infinite(k):
-            if abs(c) <= 1e-14 * max(abs(a), abs(d), 1.0):
+            if negligible(c, max(abs(a), abs(d), 1.0), LEADING_DROP):
                 return math.inf
             return a / c
         kc = complex(k)
         den = c * kc + d
-        if abs(den) <= 1e-14 * max(1.0, abs(kc)):
+        if negligible(den, max(1.0, abs(kc)), LEADING_DROP):
             return math.inf
         return (a * kc + b) / den
 
@@ -387,11 +383,10 @@ def _closest_member(form: CubicForm, triangles):
     is taken.  A smooth real cubic has exactly one; its map is real, and so
     is the member it reaches, the curve's own real k: the one real member
     of the pencil real-projectively equivalent to the curve.  The sides are
-    floats, so an exact form turns into floats once, as Python's mixed
-    arithmetic would turn each coefficient at every use.
+    floats, so an exact form turns into floats once (cubic._float_form),
+    whatever the height of its coefficients.
     """
-    if form.is_exact:
-        form = CubicForm(tuple(float(c) for c in form.coeffs))
+    form = _float_form(form)
     if all(complex(c).imag == 0 for c in form.coeffs):
         triangles = [s for s in triangles if all(isinstance(v, float) for r in s for v in r)][:1]
     maps = [_triangle_map(form, s) for s in triangles]
@@ -402,9 +397,9 @@ def _closest_member(form: CubicForm, triangles):
 
 def _into_pencil(form: CubicForm, triangles):
     """(k, A) from _closest_member, its k without dust; ConvergenceFailure
-    when the image is further than 1e-8 from the pencil."""
+    when the image is further than PENCIL_RESIDUAL from the pencil."""
     a, k, dev = _closest_member(form, triangles)
-    if dev > 1e-8:
+    if dev > PENCIL_RESIDUAL:
         raise ConvergenceFailure(f"reduction into the pencil left residual {dev:.2e}")
     return _without_dust(k), a
 
@@ -418,18 +413,19 @@ def _pencil_parameter(form: CubicForm):
         abs(cs[1]), abs(cs[2]), abs(cs[3]), abs(cs[5]), abs(cs[7]), abs(cs[8]),
         abs(cs[0] - cube), abs(cs[6] - cube), abs(cs[9] - cube),
     )
-    if abs(cube) <= 1e-12 * top:
+    if negligible(cube, top, ROUNDING):
         return math.inf, dev / top
     k = -cs[4] / (3.0 * cube)
     return k, dev / top
 
 
 def _without_dust(k):
-    """k with a real or imaginary part below 1e-10 (1 + |k|), rounding left
-    by the reduction, set to zero; a float when no imaginary part is left."""
+    """k with a real or imaginary part below REDUCTION_DUST (1 + |k|),
+    rounding left by the reduction, set to zero; a float when no imaginary
+    part is left."""
     if _is_infinite(k):
         return k
-    re, im = (v if abs(v) > 1e-10 * (1.0 + abs(k)) else 0.0 for v in (k.real, k.imag))
+    re, im = (0.0 if negligible(v, 1.0 + abs(k), REDUCTION_DUST) else v for v in (k.real, k.imag))
     return complex(re, im) if im else re
 
 
@@ -458,7 +454,7 @@ def to_hesse(form: CubicForm, canonical: bool = False):
         orbit = [(kk, p) for kk, p in orbit if not _is_infinite(kk)]
         least = min(abs(kk) for kk, _ in orbit)
         k, p = min(
-            ((kk, p) for kk, p in orbit if abs(kk) <= least * (1 + 1e-9)),
+            ((kk, p) for kk, p in orbit if abs(kk) <= least * (1 + TOLERANCE)),
             key=lambda t: cmath.phase(t[0]),
         )
         a = p.compose(a)

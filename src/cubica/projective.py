@@ -15,14 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoincidentPoints, InvalidInput, SingularMap
-from .scalars import Scalar, _integral, all_exact, scalar_from_json, scalar_to_json
-
-_DET_TOL = 1e-12
-# a floating coordinate within this relative distance of the largest ties
-# with it, and the first of tied coordinates is the pivot of the normal
-# form: coordinates of equal size, as on symmetric curves, then keep the
-# first as pivot whatever their last bits
-_PIVOT_TIE = 1e-12
+from .scalars import (
+    COINCIDENCE, PIVOT_TIE, TOLERANCE, Scalar, _integral, all_exact, negligible, scalar_from_json, scalar_to_json,
+)
 
 
 def _normalize(coords):
@@ -40,7 +35,7 @@ def _normalize(coords):
         return tuple(ints)
     cs = [complex(c) for c in coords]
     mags = [abs(c) for c in cs]
-    cut = (1 - _PIVOT_TIE) * max(mags)
+    cut = (1 - PIVOT_TIE) * max(mags)
     pivot = next(i for i, m in enumerate(mags) if m >= cut)
     div = cs[pivot]
     out = []
@@ -81,9 +76,8 @@ class ProjPoint:
     def to_complex(self) -> tuple[complex, complex, complex]:
         return tuple(complex(c) for c in self.coords)
 
-    def is_real(self, tol: float = 1e-9) -> bool:
-        n = _normalize(self.coords)
-        return all(abs(complex(c).imag) <= tol for c in n)
+    def is_real(self, tol: float = TOLERANCE) -> bool:
+        return all(negligible(c.imag, 1, tol) for c in _normalize(self.coords))
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -131,7 +125,7 @@ class ProjLine:
         nl = _normalize(self.coeffs)
         np_ = _normalize(p.coords)
         v = sum(complex(c) * complex(x) for c, x in zip(nl, np_))
-        return abs(v) <= (tol if tol is not None else 1e-9) * 3
+        return negligible(v, 3, TOLERANCE if tol is None else tol)
 
     def __eq__(self, other):
         if not isinstance(other, ProjLine):
@@ -166,12 +160,7 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     a = _normalize(p.coords)
     b = _normalize(q.coords)
     c = _cross(a, b)
-    if all_exact(c):
-        if all(v == 0 for v in c):
-            raise CoincidentPoints(f"{p!r} and {q!r} coincide")
-        return ProjLine(*c)
-    mag = max(abs(complex(v)) for v in c)
-    if mag <= 1e-12:
+    if all(negligible(v, 1, COINCIDENCE) for v in c):
         raise CoincidentPoints(f"{p!r} and {q!r} coincide")
     return ProjLine(*c)
 
@@ -179,11 +168,7 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """Intersection point of two distinct lines."""
     c = _cross(l1.coeffs, l2.coeffs)
-    if all_exact(c):
-        if all(v == 0 for v in c):
-            raise CoincidentPoints("lines coincide")
-        return ProjPoint(*c)
-    if max(abs(complex(v)) for v in c) <= 1e-12:
+    if all(negligible(v, 1, COINCIDENCE) for v in c):
         raise CoincidentPoints("lines coincide")
     return ProjPoint(*c)
 
@@ -255,11 +240,11 @@ class ProjMap:
             # scale rows to unit max-norm before the determinant cutoff
             scaled = []
             for r in rows:
-                m = max(abs(complex(v)) for v in r)
+                m = max(abs(v) for v in r)
                 if m == 0.0:
                     raise SingularMap("zero row")
                 scaled.append(tuple(complex(v) / m for v in r))
-            if abs(_det3(scaled)) <= _DET_TOL:
+            if negligible(_det3(scaled), 1, COINCIDENCE):
                 raise SingularMap("determinant below cutoff")
 
     @classmethod
@@ -339,7 +324,7 @@ class ProjMap:
         return cls(tuple(tuple(scalar_from_json(v) for v in r) for r in obj))
 
 
-def _flat_proportional(a, b, tol=1e-9) -> bool:
+def _flat_proportional(a, b, tol=TOLERANCE) -> bool:
     """Proportionality test for flat coefficient vectors of equal length."""
     if all_exact(a) and all_exact(b):
         pa = next((i for i, v in enumerate(a) if v != 0), None)
@@ -356,10 +341,10 @@ def _flat_proportional(a, b, tol=1e-9) -> bool:
     ca = [v / ma for v in ca]
     cb = [v / mb for v in cb]
     pivot = max(range(len(ca)), key=lambda i: abs(ca[i]))
-    if abs(cb[pivot]) <= tol:
+    if negligible(cb[pivot], 1, tol):
         return False
     phase = ca[pivot] / cb[pivot]
-    return all(abs(x - phase * y) <= tol * 4 for x, y in zip(ca, cb))
+    return all(negligible(x - phase * y, 4, tol) for x, y in zip(ca, cb))
 
 
 def _solve3(rows, rhs):
@@ -386,9 +371,7 @@ def map_four_points(src, dst) -> ProjMap:
         except SingularMap as exc:
             raise CoincidentPoints("quadruple is not in general position") from exc
         w = _solve3(cols.rows, p3)
-        if any(
-            (wi == 0 if all_exact(w) else abs(complex(wi)) <= 1e-12) for wi in w
-        ):
+        if any(negligible(wi, 1, COINCIDENCE) for wi in w):
             raise CoincidentPoints("quadruple is not in general position")
         return ProjMap.from_columns(
             tuple(w[0] * c for c in p0),

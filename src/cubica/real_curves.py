@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .cubic import (
     CubicForm,
+    _float_form,
     _from_pencil_triangles,
     _invariants,
     _match_hesse_pattern,
@@ -40,7 +41,7 @@ from .projective import (
     ProjPoint,
     _flat_proportional,
 )
-from .scalars import collapse, is_exact, roots_cubic
+from .scalars import FLEX_DERIVED, REDUCTION_DUST, TOLERANCE, collapse, is_exact, negligible, roots_cubic
 from .standard import StandardCurve
 
 _SQRT3 = math.sqrt(3.0)
@@ -48,18 +49,11 @@ _SQRT3 = math.sqrt(3.0)
 
 def _realify_form(form: CubicForm) -> CubicForm:
     """The same form with real coefficients, or ComplexCoefficients."""
-    top = max(abs(complex(c)) for c in form.coeffs)
-    out = []
+    top = max(abs(c) for c in form.coeffs)
     for c in form.coeffs:
-        if isinstance(c, complex):
-            if abs(c.imag) > 1e-9 * top:
-                raise ComplexCoefficients(
-                    f"coefficient {c!r} has a non-real part"
-                )
-            out.append(c.real)
-        else:
-            out.append(c)
-    return CubicForm(tuple(out))
+        if isinstance(c, complex) and not negligible(c.imag, top, TOLERANCE):
+            raise ComplexCoefficients(f"coefficient {c!r} has a non-real part")
+    return CubicForm(tuple(c.real if isinstance(c, complex) else c for c in form.coeffs))
 
 
 def count_components(c: StandardCurve) -> int:
@@ -81,14 +75,8 @@ _HESSE_REAL_FLEXES = (
 
 def _real_points(flexes):
     """The three real points among nine flexes, with real coordinates."""
-    reals = []
-    for p in flexes:
-        if p.is_real(1e-6):
-            n = p.normalized()
-            coords = tuple(
-                c.real if isinstance(c, complex) else c for c in n.coords
-            )
-            reals.append(ProjPoint(*coords).normalized())
+    reals = [ProjPoint(*(c.real for c in p.normalized().coords)) for p in flexes if p.is_real(FLEX_DERIVED)]
+    reals = [p.normalized() for p in reals]
     if len(reals) != 3:
         raise ConvergenceFailure(
             f"found {len(reals)} real flexes, expected exactly 3"
@@ -128,13 +116,11 @@ class RealClassification:
 
 def _sign_of(v, other, weight) -> int:
     """Sign with a scale-aware zero: v is compared against |other|^weight."""
-    if is_exact(v):
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    vv = complex(v).real
-    scale = max(abs(complex(other)) ** weight, abs(vv), 1e-300)
-    if abs(vv) <= 1e-10 * scale:
-        return 0
-    return 1 if vv > 0 else -1
+    if not is_exact(v):
+        v = complex(v).real
+        if negligible(v, max(abs(other) ** weight, abs(v), 1e-300), REDUCTION_DUST):
+            return 0
+    return (v > 0) - (v < 0)
 
 
 def classify_real(form: CubicForm) -> RealClassification:
@@ -178,16 +164,18 @@ def real_automorphisms(form: CubicForm):
 
     The one triangle of the pencil of the curve and its Hessian with three
     real sides gives a real map A onto a real member of the Hesse pencil;
-    the maps are A^-1 P A for the six coordinate permutations P.
+    the maps are A^-1 P A for the six coordinate permutations P, each
+    checked on the form in floating point (see cubic._float_form).
     """
     form = _realify_form(form)
+    floats = _float_form(form)
 
     def conjugate(triangles, flexes):
         a = _into_pencil(form, triangles)[1]
         inv = a.inverse()
         maps = tuple(inv.compose(ProjMap(p)).compose(a) for p in _PERM_MAPS)
         for m in maps:
-            if not _flat_proportional(transform(form, m).coeffs, form.coeffs, 1e-6):
+            if not _flat_proportional(transform(floats, m).coeffs, floats.coeffs, FLEX_DERIVED):
                 raise ConvergenceFailure("candidate map does not preserve the curve")
         return maps
 

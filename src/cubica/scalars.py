@@ -5,6 +5,9 @@ Python's numeric tower already promotes exact to floating in mixed
 expressions and never the other way around, so scalars are plain numbers
 rather than a wrapper class.  Fraction keeps itself in lowest terms with a
 positive denominator, which is exactly the normal form we want.
+
+The module also holds the package's one tolerance policy: the named
+thresholds below and negligible, the one test of whether a value is zero.
 """
 from __future__ import annotations
 
@@ -17,10 +20,65 @@ from .errors import InvalidInput, ZeroLeadingCoefficient
 
 Scalar = int | Fraction | float | complex
 
-#: default relative tolerance for floating comparisons
+# The tolerance policy: a floating value is negligible when it is small
+# against the size of what produced it (Higham, "Accuracy and Stability of
+# Numerical Algorithms", ch. 3), an exact one only when it is zero.  Every
+# threshold of the algebra is named here, one name per thing tested; the
+# README's "Tolerances" section gives each one's origin.  1e-12 is about
+# 4500 ulps, the rounding of a few dozen operations on unit-scaled data.
+
+#: proportional, equal or real: scalars_close, projective equality, is_real,
+#: ProjLine.contains, curve membership, J = 0 or 1, k^3 = 1
 TOLERANCE = 1e-9
+#: a leading or pattern coefficient below this part of the largest is zero
+#: (about 45 ulps): poly_roots, roots_cubic, the Hesse and Weierstrass
+#: coefficient patterns, MobiusMap.apply
+LEADING_DROP = 1e-14
+#: two points or lines coincide, a map is singular: cross products, distances
+#: and determinants of unit-scaled entries; a point lies on z = 0
+COINCIDENCE = 1e-12
+#: a coordinate this close to the largest ties with it, and the first of
+#: tied coordinates is the pivot of the floating normal form
+PIVOT_TIE = 1e-12
+#: zero or equal up to rounding against a form's largest coefficient or a
+#: unit scale: gradients, pattern coefficients, 4a^3 + 27b^2, dust on (a, b)
+ROUNDING = 1e-12
+#: tangent contact at a flex (flex_defect): find_flexes stays below 8.4e-9
+#: on the bench's reduce curves (condition < 100), exact flexes at 0
+FLEX_CONTACT = 1e-6
+#: what is built from flexes is real, proportional or standard to this:
+#: triangle sides, real flexes, to_standard's image, real automorphisms
+FLEX_DERIVED = 1e-6
+#: a value a reduction reaches through several substitutions is zero below
+#: this part of its scale: to_standard's x^3 and y^2 z terms, dust on k, the
+#: signs of the invariants
+REDUCTION_DUST = 1e-10
+#: the image under a triangle's map is a member of the Hesse pencil to this;
+#: polished flexes leave residuals near 1e-12
+PENCIL_RESIDUAL = 1e-8
+#: the singular-value ratio at or below which a floating curve is singular:
+#: smooth members reach 3.5e-13 at condition 100-1000, singular families
+#: 2.3e-14 under float maps of condition < 300 (nodes 1.6e-12 beyond)
+SINGULAR_RANK = 1e-13
+#: a chord restriction coefficient below this part of its terms' sizes is 0
+CHORD_ZERO = 1e-13
+#: points closer than this are one point: flexes lie 8.3e-3 apart or more on
+#: the bench's curves, split singular points 1.4e-4 apart at most
+FLEX_SEPARATION = 1e-3
+#: the root triangle's edges are equal, or it is flat, to this part of its
+#: longest edge (standard.triangle_shape)
+SHAPE_TIE = 1e-7
 
 _EXACT = (int, Fraction)
+
+
+def negligible(value, size, tol) -> bool:
+    """Whether a computed value counts as zero: exactly for int and
+    Fraction, and for floating values when |value| <= tol * size, size the
+    scale of what produced it.  An exact value is never converted."""
+    if isinstance(value, _EXACT):
+        return value == 0
+    return abs(value) <= tol * size
 
 
 def is_exact(value) -> bool:
@@ -43,8 +101,7 @@ def scalars_close(a, b, tol: float | None = None) -> bool:
     if tol is None:
         tol = TOLERANCE
     ca, cb = complex(a), complex(b)
-    scale = max(1.0, abs(ca), abs(cb))
-    return abs(ca - cb) <= tol * scale
+    return negligible(ca - cb, max(1.0, abs(ca), abs(cb)), tol)
 
 
 def _integral(values):
@@ -152,7 +209,7 @@ def poly_roots(coeffs) -> list[complex]:
     scale = max((abs(c) for c in cs), default=0.0)
     if scale == 0.0:
         raise ZeroLeadingCoefficient("zero polynomial")
-    while cs and abs(cs[0]) <= 1e-14 * scale:
+    while cs and negligible(cs[0], scale, LEADING_DROP):
         cs.pop(0)
     if len(cs) <= 1:
         return []
@@ -163,12 +220,11 @@ def poly_roots(coeffs) -> list[complex]:
 def roots_cubic(c3, c2, c1, c0) -> list[complex]:
     """Roots of c3*x**3 + c2*x**2 + c1*x + c0, leading coefficient nonzero.
 
-    Always returns three floating roots, sorted by (real, imaginary) part.
+    Always returns three floating roots, sorted by (real, imaginary) part;
+    ZeroLeadingCoefficient when poly_roots drops the leading term.
     """
-    coeffs = (c3, c2, c1, c0)
-    scale = max(abs(complex(c)) for c in coeffs)
-    if c3 == 0 or scale == 0.0 or abs(complex(c3)) <= 1e-14 * scale:
+    roots = poly_roots((c3, c2, c1, c0))
+    if len(roots) != 3:
         raise ZeroLeadingCoefficient("leading cubic coefficient vanishes")
-    roots = poly_roots(coeffs)
     roots.sort(key=lambda r: (r.real, r.imag))
     return roots

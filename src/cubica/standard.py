@@ -15,9 +15,9 @@ from fractions import Fraction
 from .cubic import (
     CubicForm,
     ConvergenceFailure,
+    _contact_defect,
     _line_second_point,
     _substitute,
-    flex_defect,
     tangent_line,
 )
 from .errors import (
@@ -27,7 +27,10 @@ from .errors import (
     ZeroScale,
 )
 from .projective import ProjMap, ProjPoint, _adjugate, _det3, _normalize
-from .scalars import _integral, all_exact, collapse, is_exact, roots_cubic
+from .scalars import (
+    FLEX_CONTACT, FLEX_DERIVED, REDUCTION_DUST, ROUNDING, SHAPE_TIE, TOLERANCE,
+    _integral, all_exact, collapse, negligible, roots_cubic,
+)
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,8 @@ class StandardCurve:
 
     def is_smooth(self) -> bool:
         d = self.discriminant()
-        if self.is_exact:
-            return d != 0
-        scale = max(abs(complex(4 * self.a ** 3)), abs(complex(27 * self.b ** 2)), 1e-300)
-        return abs(complex(d)) > 1e-12 * scale
+        scale = max(abs(4 * self.a ** 3), abs(27 * self.b ** 2), 1e-300)
+        return not negligible(d, scale, ROUNDING)
 
     def cubic_form(self) -> CubicForm:
         a, b = self.a, self.b
@@ -81,10 +82,7 @@ def j_invariant(c: StandardCurve):
 
 def rescale(c: StandardCurve, t) -> StandardCurve:
     """The substitution X = t^2 x, Y = t^3 y: (a, b) -> (t^4 a, t^6 b)."""
-    if is_exact(t):
-        if t == 0:
-            raise ZeroScale("rescaling by t = 0")
-    elif complex(t) == 0:
+    if t == 0:
         raise ZeroScale("rescaling by t = 0")
     return StandardCurve(collapse(t ** 4 * c.a), collapse(t ** 6 * c.b))
 
@@ -100,8 +98,7 @@ def _third_basis_column(c0, c1):
     best_mag = -1.0
     for idx in range(3):
         e = tuple(1 if n == idx else 0 for n in range(3))
-        det = _det3((c0, c1, e))
-        mag = abs(complex(det))
+        mag = abs(_det3((c0, c1, e)))
         if mag > best_mag:
             best, best_mag = e, mag
     if best_mag <= 0.0:
@@ -121,30 +118,33 @@ def to_standard(form: CubicForm, flex: ProjPoint):
     and tangent z=0.  One matrix D, written in closed form from psi's
     coefficients, then scales, completes the square and shifts x
     (Silverman, The Arithmetic of Elliptic Curves, III.1); psi o D is the
-    form o m D.  On exact input D's denominators are cleared first, so
-    both substitutions run on integers, and A is literally (m D)^{-1}.
+    form o m D.  On exact input the tangent line comes from the form's
+    integer representative and D's denominators are cleared first, so both
+    substitutions run on integers, and A is literally (m D)^{-1}.  psi also
+    gives the flex defect: its x^3, x^2 y, xy^2 and y^3 coefficients are
+    the form restricted to the tangent line.
     """
     p = flex.normalized()
-    line = tangent_line(form, p)
-    if line is None:
-        raise SingularAtFlex("gradient vanishes at the marked point")
-    defect = flex_defect(form, p)
-    if defect > 1e-6:
-        raise NotAFlex(f"tangent contact residual {defect:.2e}")
-
-    c0, c1 = _normalize(_line_second_point(line.normalized().coeffs, p.coords)), p.coords
-    m = tuple(zip(c0, c1, _third_basis_column(c0, c1)))
     exact = form.is_exact and p.is_exact
     base = _integral(form.coeffs)[0] if exact else form.coeffs
+    line = tangent_line(CubicForm(base), p)
+    if line is None:
+        raise SingularAtFlex("gradient vanishes at the marked point")
+    c0, c1 = _normalize(_line_second_point(line.normalized().coeffs, p.coords)), p.coords
+    m = tuple(zip(c0, c1, _third_basis_column(c0, c1)))
 
     psi = _normalize(_substitute(base, m))
-    top = max(abs(complex(c)) for c in psi)
     # g, e, s, h, t: the x^3, x^2 z, xyz, y^2 z and yz^2 coefficients; the
-    # x^2 y, xy^2 and y^3 ones vanish at an exact flex, not at a float one
+    # x^2 y, xy^2 and y^3 ones vanish at an exact flex, not at a float one.
+    # y^3, xy^2, x^2 y and x^3 are restrict_to_line at p and c0
     g, x2y, e, xy2, s, _, y3, h, t, _ = psi
+    defect = _contact_defect((y3, xy2, x2y, g), c1, c0)
+    if defect > FLEX_CONTACT:
+        raise NotAFlex(f"tangent contact residual {defect:.2e}")
+    top = max(abs(c) for c in psi)
 
     def tiny(v):
-        return v == 0 if exact else abs(complex(v)) <= 1e-10 * top
+        return negligible(v, top, REDUCTION_DUST)
 
     if tiny(g):
         raise NotAFlex("tangent line meets the curve beyond the flex")
@@ -174,23 +174,19 @@ def to_standard(form: CubicForm, flex: ProjPoint):
     det = _det3(md)
     a_map = ProjMap(tuple(tuple(div(den * v, det) for v in r) for r in _adjugate(md)))
 
-    lead = cs[0]
+    lead, ctop = cs[0], max(abs(c) for c in cs)
+    if not all(negligible(v, ctop, FLEX_DERIVED) for v in [cs[i] for i in (1, 2, 3, 4, 6, 8)] + [cs[7] + lead]):
+        raise ConvergenceFailure("reduction left non-standard terms")
     if exact:
-        if cs[7] != -lead or any(cs[i] != 0 for i in (1, 2, 3, 4, 6, 8)):
-            raise ConvergenceFailure("reduction left non-standard terms")
         a = collapse(Fraction(cs[5], lead))
         b = collapse(Fraction(cs[9], lead))
     else:
-        ctop = max(abs(complex(c)) for c in cs)
-        stray = max(abs(complex(cs[i])) for i in (1, 2, 3, 4, 6, 8))
-        if stray > 1e-6 * ctop or abs(complex(cs[7]) + complex(lead)) > 1e-6 * ctop:
-            raise ConvergenceFailure("reduction left non-standard terms")
         a = complex(cs[5]) / complex(lead)
         b = complex(cs[9]) / complex(lead)
         # complex dust below working precision reads as real
-        if abs(a.imag) <= 1e-12 * max(1.0, abs(a)):
+        if negligible(a.imag, max(1.0, abs(a)), ROUNDING):
             a = a.real
-        if abs(b.imag) <= 1e-12 * max(1.0, abs(b)):
+        if negligible(b.imag, max(1.0, abs(b)), ROUNDING):
             b = b.real
     return StandardCurve(a, b), a_map
 
@@ -198,9 +194,6 @@ def to_standard(form: CubicForm, flex: ProjPoint):
 # ---------------------------------------------------------------------------
 # the triangle of roots
 # ---------------------------------------------------------------------------
-
-_SHAPE_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class TriangleShape:
@@ -228,15 +221,15 @@ def triangle_shape(c: StandardCurve) -> TriangleShape:
     scale = e3
 
     area2 = abs(((r[1] - r[0]).conjugate() * (r[2] - r[0])).imag)
-    if area2 <= _SHAPE_TOL * scale * scale:
+    if area2 <= SHAPE_TIE * scale * scale:
         mid = min(
             abs(r[i] - (r[j] + r[l]) / 2)
             for i, j, l in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
         )
-        tag = "collinear-with-midpoint" if mid <= _SHAPE_TOL * scale else "collinear"
-    elif (e3 - e1) <= _SHAPE_TOL * scale:
+        tag = "collinear-with-midpoint" if mid <= SHAPE_TIE * scale else "collinear"
+    elif (e3 - e1) <= SHAPE_TIE * scale:
         tag = "equilateral"
-    elif (e2 - e1) <= _SHAPE_TOL * scale or (e3 - e2) <= _SHAPE_TOL * scale:
+    elif (e2 - e1) <= SHAPE_TIE * scale or (e3 - e2) <= SHAPE_TIE * scale:
         tag = "isosceles"
     else:
         # scalene: the half-plane of J is read from the orientation of the
@@ -254,9 +247,5 @@ def automorphism_order(c: StandardCurve) -> tuple[int, int]:
     total is always 9 times that.
     """
     j = j_invariant(c)
-    if is_exact(j):
-        stab = 6 if j == 0 else 4 if j == 1 else 2
-    else:
-        jc = complex(j)
-        stab = 6 if abs(jc) <= 1e-9 else 4 if abs(jc - 1) <= 1e-9 else 2
+    stab = 6 if negligible(j, 1, TOLERANCE) else 4 if negligible(j - 1, 1, TOLERANCE) else 2
     return 9 * stab, stab

@@ -64,6 +64,19 @@ def test_curve_file_input(tmp_path, capsys):
     assert abs(float(out.split("=")[1]) - 512.0 / 343.0) < 1e-8
 
 
+def test_classify_real_curve_file_past_the_float_range(tmp_path, capsys):
+    # y^2 = x^3 - x + 1, and the same form times 10^400
+    coeffs = [1, 0, 0, 0, 0, -1, 0, -1, 0, 1]
+    outs = []
+    for scale in (1, 10 ** 400):
+        path = tmp_path / f"curve{len(outs)}.json"
+        path.write_text(json.dumps([f"{c * scale}/1" for c in coeffs]))
+        code, out = run(capsys, "classify-real", "--curve", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_add_frozen(capsys):
     code, out = run(capsys, "add", "--standard", "0,1",
                     "--base", "0,1,0", "--p", "2,3", "--q", "0,1")

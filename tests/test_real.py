@@ -20,6 +20,18 @@ from cubica.real_curves import (
 from cubica.standard import StandardCurve
 
 
+@pytest.mark.parametrize("scale", [10 ** 400, Fraction(1, 10 ** 400)], ids=["1e400", "1e-400"])
+def test_exact_forms_past_the_float_range(scale):
+    # y^2 = x^3 - x + 1 times 10^+-400: its floats are its coefficients
+    # divided exactly by the largest, so nothing depends on the scale
+    base = StandardCurve(-1, 1).cubic_form()
+    form = CubicForm(tuple(c * scale for c in base.coeffs))
+    assert to_hesse(form)[0] == to_hesse(base)[0]
+    assert classify_real(form) == classify_real(base)
+    maps = real_automorphisms(form)
+    assert len(maps) == 6 and maps == real_automorphisms(base)
+
+
 def test_count_components():
     assert count_components(StandardCurve(-4, 1)) == 2
     assert count_components(StandardCurve(0, 1)) == 1
