@@ -30,7 +30,7 @@ from .projective import (
 )
 from .scalars import (
     COINCIDENCE, FLEX_CONTACT, FLEX_DERIVED, FLEX_SEPARATION, LEADING_DROP, PIVOT_TIE, ROUNDING, SINGULAR_RANK,
-    _integral, all_exact, collapse, is_exact, negligible, poly_roots, scalar_from_json, scalar_to_json,
+    _integral, all_exact, has_nan, is_exact, negligible, poly_roots, scalar_from_json, scalar_to_json, unit_floats,
 )
 
 MONOMIALS = (
@@ -116,7 +116,9 @@ def _trace_product(a, b):
 
 @dataclass(frozen=True, eq=False)
 class CubicForm:
-    """A ternary cubic, identified projectively (up to a global factor)."""
+    """A ternary cubic, identified projectively (up to a global factor);
+    is_exact, whether every coefficient is int or Fraction, is decided
+    once, when it is built."""
 
     coeffs: tuple
 
@@ -124,13 +126,13 @@ class CubicForm:
         cs = tuple(self.coeffs)
         if len(cs) != 10:
             raise InvalidInput("a cubic form needs exactly 10 coefficients")
+        exact = all_exact(cs)
+        if not exact and has_nan(cs):
+            raise InvalidInput("a cubic form cannot have a NaN coefficient")
         if all(c == 0 for c in cs):
             raise InvalidInput("the zero polynomial is not a cubic form")
         object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def is_exact(self) -> bool:
-        return all_exact(self.coeffs)
+        object.__setattr__(self, "is_exact", exact)
 
     def as_dict(self):
         return {m: c for m, c in zip(MONOMIALS, self.coeffs) if c != 0}
@@ -229,14 +231,10 @@ class CubicForm:
 
 
 def _float_form(form: CubicForm) -> CubicForm:
-    """The form with floating coefficients: an exact one divided exactly by
-    its largest coefficient first, so that coefficients of any height
-    convert (int / int rounds correctly); a floating one as it is."""
-    if form.is_exact:
-        ints, _ = _integral(form.coeffs)
-        top = max(map(abs, ints))
-        return CubicForm(tuple(v / top for v in ints))
-    return form
+    """The form with floating coefficients: an exact one as unit_floats
+    gives it, whatever the height of its coefficients; a floating one as it
+    is."""
+    return CubicForm(unit_floats(form.coeffs)) if form.is_exact else form
 
 
 def evaluate_grid(form: CubicForm, x, y, z):
@@ -528,7 +526,8 @@ def _coords_key(coords):
 
 
 def _point_sort_key(p: ProjPoint):
-    return _coords_key(np.array([p.normalized().to_complex()]))[0]
+    p = p.normalized()
+    return _coords_key(np.array([unit_floats(p.coords) if p.is_exact else p.to_complex()], complex))[0]
 
 
 # two points spanning a fixed general line.  It meets a triangle in three
@@ -601,10 +600,7 @@ def _representative(form: CubicForm):
     them: its integer representative on exact input, so that its Hessian
     expands exactly, and scaled to unit largest coefficient on floats, so
     that its Hessian neither overflows nor underflows."""
-    if form.is_exact:
-        return _integral(form.coeffs)[0]
-    scale = max(abs(v) for v in form.coeffs)
-    return [v / scale for v in form.coeffs]
+    return _integral(form.coeffs)[0] if form.is_exact else unit_floats(form.coeffs)
 
 
 def _smooth_coefficients(form: CubicForm):
@@ -629,7 +625,7 @@ def _smooth_coefficients(form: CubicForm):
         hc = CubicForm(c).hessian().coeffs
     except DegenerateForm:
         raise SingularCurve("the Hessian vanishes identically") from None
-    if all_exact(c):
+    if form.is_exact:
         sigma, tau = _invariants_at_point(c, hc)
         singular = 4 * sigma ** 3 == 3 * tau ** 2
     else:
@@ -683,7 +679,7 @@ def _pencil_triangles(c, hc):
     h_top = max(abs(v) for v in hc)
     # f and h scaled to unit largest coefficient, with the invariants of
     # the pair f + t h in that scaling
-    pair = np.array([[complex(v / top) for v in c], [complex(v / h_top) for v in hc]])
+    pair = np.array([unit_floats(c), unit_floats(hc)], complex)
     sigma, tau = complex(sigma * top ** 2 / h_top ** 2), complex(tau * top ** 3 / h_top ** 3)
     third = _third_partials(pair)
     if exact:
@@ -732,8 +728,8 @@ def _pencil_triangles(c, hc):
         pts, res = _polish_flexes(at, meets)
         if not (res < 1e-8).all():
             continue
-        unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        cos = np.abs(unit.conj() @ unit.T) - 2 * np.eye(9)
+        sphere = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        cos = np.abs(sphere.conj() @ sphere.T) - 2 * np.eye(9)
         if np.sqrt(max(0.0, 1 - cos.max() ** 2)) > FLEX_SEPARATION:
             break
     else:
@@ -753,9 +749,9 @@ def _pencil_triangles(c, hc):
     # of the adjugate of their matrix, the cross product of two of them, is
     # a multiple of the side, and the largest is taken; a triangle whose
     # sides do not share out the nine flexes is dropped
-    near = np.argsort(np.abs(split @ unit.T), axis=-1)[..., :3]
+    near = np.argsort(np.abs(split @ sphere.T), axis=-1)[..., :3]
     shares = (np.sort(near.reshape(-1, 9), axis=1) == rows).all(axis=1)
-    three = unit[near[shares]].reshape(-1, 3, 3)
+    three = sphere[near[shares]].reshape(-1, 3, 3)
     cof = _cross(three.take(_NEXT, 1), three.take(_PREV, 1))
     null = cof[np.arange(len(cof)), (np.abs(cof) ** 2).sum(axis=2).argmax(axis=1)]
     # each side scaled to largest entry 1, with real entries when it is real
@@ -800,36 +796,25 @@ def find_flexes(form: CubicForm) -> FlexSet:
 # ---------------------------------------------------------------------------
 
 
-def _match_hesse_pattern(form: CubicForm):
-    """(kind, value) for recognizably Hesse-shaped coefficient tuples."""
+def _match_hesse_pattern(form: CubicForm) -> bool:
+    """Whether the form is x^3 + y^3 + z^3 - 3k xyz up to scale, k finite,
+    or xyz, the member at infinity."""
     c = form.coeffs
     top = max(abs(v) for v in c)
     if not all(negligible(c[i], top, LEADING_DROP) for i in (1, 2, 3, 5, 7, 8)):
-        return None
-    cubes = (c[0], c[6], c[9])
-    if all(negligible(v, top, LEADING_DROP) for v in cubes):
-        return None if negligible(c[4], top, LEADING_DROP) else ("infinity", None)
-    if any(negligible(v, top, LEADING_DROP) for v in cubes) or not all(
-            negligible(v - c[0], top, ROUNDING) for v in cubes):
-        return None
-    if form.is_exact:
-        return ("finite", collapse(-Fraction(c[4]) / (3 * Fraction(c[0]))))
-    k = -complex(c[4]) / (3 * complex(c[0]))
-    return ("finite", k.real if k.imag == 0.0 else k)
+        return False
+    small = [negligible(v, top, LEADING_DROP) for v in (c[0], c[6], c[9])]
+    if all(small):
+        return not negligible(c[4], top, LEADING_DROP)
+    return not any(small) and all(negligible(v - c[0], top, ROUNDING) for v in (c[6], c[9]))
 
 
-def _match_standard_pattern(form: CubicForm):
-    """(a, b) when the form is -y^2 z + x^3 + a x z^2 + b z^3 up to scale."""
+def _match_standard_pattern(form: CubicForm) -> bool:
+    """Whether the form is -y^2 z + x^3 + a x z^2 + b z^3 up to scale."""
     c, s = form.coeffs, form.coeffs[0]
     top = max(abs(v) for v in c)
-    if not all(negligible(c[i], top, LEADING_DROP) for i in (1, 2, 3, 4, 6, 8)):
-        return None
-    if negligible(s, top, LEADING_DROP) or not negligible(c[7] + s, top, ROUNDING):
-        return None
-    if form.is_exact:
-        return collapse(Fraction(c[5]) / Fraction(s)), collapse(Fraction(c[9]) / Fraction(s))
-    a, b = (complex(v) / complex(s) for v in (c[5], c[9]))
-    return tuple(v.real if v.imag == 0.0 else v for v in (a, b))
+    return (all(negligible(c[i], top, LEADING_DROP) for i in (1, 2, 3, 4, 6, 8))
+            and not negligible(s, top, LEADING_DROP) and negligible(c[7] + s, top, ROUNDING))
 
 
 # ---------------------------------------------------------------------------
@@ -918,10 +903,10 @@ def singular_points(form: CubicForm) -> list[ProjPoint]:
         k = np.array(kernel, complex).T
         a, b = (np.tensordot(v, k[_SHIFTS], 1) for v in _SPLIT_LINE)
         w = (k @ np.linalg.eig(np.linalg.lstsq(b, a, rcond=None)[0])[1]).T
-        unit = np.array([_read_point(v) for v in w])
-        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        sphere = np.array([_read_point(v) for v in w])
+        sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
         # each eigenvector joins the first whose point is that close to its own
-        first = (1 - np.abs(unit.conj() @ unit.T) ** 2 < FLEX_SEPARATION ** 2).argmax(axis=0)
+        first = (1 - np.abs(sphere.conj() @ sphere.T) ** 2 < FLEX_SEPARATION ** 2).argmax(axis=0)
         points = []
         for i in np.unique(first):
             # the members scaled by the same entry, so that the first-order

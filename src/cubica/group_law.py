@@ -28,16 +28,14 @@ from .errors import (
     SingularCurve,
 )
 from .projective import ProjPoint, _flat_proportional, _normalize
-from .scalars import CHORD_ZERO, COINCIDENCE, ROUNDING, TOLERANCE, _integral, negligible
+from .scalars import CHORD_ZERO, COINCIDENCE, ROUNDING, TOLERANCE, _integral, negligible, unit_floats
 
 
 def _project_to_curve(form: CubicForm, coords):
     """Two least-norm Newton steps pulling a nearby point onto the curve,
     which is first scaled to largest coordinate 1, so that the steps see
     the residual and gradient of the point itself, whatever its size."""
-    v = [complex(c) for c in coords]
-    top = max(abs(c) for c in v)
-    v = [c / top for c in v]
+    v = unit_floats(coords)
     for _ in range(2):
         val = complex(form.evaluate(v))
         g = [complex(x) for x in form.gradient(v)]
@@ -51,7 +49,8 @@ def _project_to_curve(form: CubicForm, coords):
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """A point together with the smooth cubic it lies on."""
+    """A point together with the smooth cubic it lies on; is_exact when
+    both are exact, decided once, when it is built."""
 
     curve: CubicForm
     point: ProjPoint
@@ -59,13 +58,10 @@ class CurvePoint:
     def __post_init__(self):
         pt = self.point.normalized()
         object.__setattr__(self, "point", pt)
+        object.__setattr__(self, "is_exact", self.curve.is_exact and pt.is_exact)
         val = self.curve.evaluate(pt.coords)
         if not negligible(val, max(map(abs, self.curve.coeffs)), TOLERANCE):
             raise InvalidInput(f"point {pt.coords} is not on the curve: the form is {val} there")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.curve.is_exact and self.point.is_exact
 
     def affine(self):
         """(x, y) in the z=1 chart, exact for an exact point; InvalidInput
@@ -97,8 +93,8 @@ class _CurveData:
     coefficient scale, and |F|, built on first use."""
 
     def __init__(self, curve: CubicForm):
-        self.curve, self.exact = curve, curve.is_exact
-        self.ints = CubicForm(_integral(curve.coeffs)[0]) if self.exact else None
+        self.curve = curve
+        self.ints = CubicForm(_integral(curve.coeffs)[0]) if curve.is_exact else None
         self.scale = max(map(abs, curve.coeffs))
 
     @cached_property
@@ -123,7 +119,7 @@ def _chord(data: _CurveData, p, q, tangent=None):
     to CHORD_ZERO of the sum of its terms' sizes (the restriction of |F| to
     |p| and |q|) and project the third point back onto the curve."""
     pe, qe = isinstance(p[0], int), isinstance(q[0], int)
-    exact = data.exact and pe and qe
+    exact = data.curve.is_exact and pe and qe
     form = data.ints if exact else data.curve
     if tangent is None:
         tangent = p == q if pe and qe else _flat_proportional(p, q)
@@ -177,7 +173,7 @@ def flex_based_group(curve: CubicForm) -> BasedGroup:
     exact flex (0:1:0), which keeps rational arithmetic rational; other
     curves get the first real flex if one exists, else the first flex.
     """
-    if _match_standard_pattern(curve) is not None:
+    if _match_standard_pattern(curve):
         return BasedGroup(curve, ProjPoint(0, 1, 0))
     flexes = find_flexes(curve).points
     return BasedGroup(curve, next((p for p in flexes if p.is_real()), flexes[0]))

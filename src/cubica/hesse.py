@@ -20,7 +20,7 @@ from .errors import ConvergenceFailure, InvalidInput, SingularParameter
 from .projective import ProjMap, ProjPoint, _flat_proportional
 from .scalars import (
     COINCIDENCE, LEADING_DROP, PENCIL_RESIDUAL, REDUCTION_DUST, ROUNDING, TOLERANCE,
-    collapse, is_exact, negligible, poly_roots,
+    all_exact, collapse, is_exact, negligible, poly_roots,
 )
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -177,14 +177,9 @@ class MobiusMap:
 
     def apply(self, k):
         a, b, c, d = self.entries
-        exact = all(is_exact(v) for v in self.entries) and is_exact(k) and not _is_infinite(k)
-        if exact:
-            kf = Fraction(k)
-            den = Fraction(c) * kf + Fraction(d)
-            if den == 0:
-                return math.inf
-            val = (Fraction(a) * kf + Fraction(b)) / den
-            return collapse(val)
+        if all_exact(self.entries) and is_exact(k):
+            den = c * Fraction(k) + d
+            return math.inf if den == 0 else collapse((a * Fraction(k) + b) / den)
         a, b, c, d = (complex(v) for v in self.entries)
         if _is_infinite(k):
             if negligible(c, max(abs(a), abs(d), 1.0), LEADING_DROP):

@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import CoincidentPoints, InvalidInput, SingularMap
 from .scalars import (
-    COINCIDENCE, PIVOT_TIE, TOLERANCE, Scalar, _integral, all_exact, negligible, scalar_from_json, scalar_to_json,
+    COINCIDENCE, PIVOT_TIE, TOLERANCE, Scalar, _integral, all_exact, has_nan, negligible, scalar_from_json,
+    scalar_to_json, unit_floats,
 )
 
 
@@ -52,23 +54,24 @@ def _normalize(coords):
 
 @dataclass(frozen=True, eq=False)
 class ProjPoint:
-    """A point (x : y : z) of the projective plane."""
+    """A point (x : y : z) of the projective plane; is_exact, whether every
+    coordinate is int or Fraction, is decided once, when it is built."""
 
     x: Scalar
     y: Scalar
     z: Scalar
 
     def __post_init__(self):
+        exact = all_exact(self.coords)
+        object.__setattr__(self, "is_exact", exact)
+        if not exact and has_nan(self.coords):
+            raise InvalidInput("a NaN coordinate is not a projective point")
         if self.x == 0 and self.y == 0 and self.z == 0:
             raise InvalidInput("(0:0:0) is not a projective point")
 
     @property
     def coords(self):
         return (self.x, self.y, self.z)
-
-    @property
-    def is_exact(self) -> bool:
-        return all_exact(self.coords)
 
     def normalized(self) -> "ProjPoint":
         return ProjPoint(*_normalize(self.coords))
@@ -173,24 +176,15 @@ def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     return ProjPoint(*c)
 
 
-def _unit_complex(coords):
-    """The triple as complex floats, an exact one divided by its largest
-    entry first."""
-    if all_exact(coords):
-        top = max(abs(c) for c in coords)
-        return tuple(complex(Fraction(c) / top) for c in coords)
-    return tuple(complex(c) for c in coords)
-
-
 def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
     """Scale-invariant distance: the sine of the Fubini-Study angle.
 
     Computed as the norm of b orthogonalized against a, which stays
     accurate down to distances near machine epsilon; 1 - cos^2 would
     bottom out around 1e-8.  Exact triples of any height convert without
-    overflow (see _unit_complex).  Either point may be a bare triple.
+    overflow (see scalars.unit_floats).  Either point may be a bare triple.
     """
-    a, b = (_unit_complex(t.coords if isinstance(t, ProjPoint) else t) for t in (p, q))
+    a, b = (unit_floats(t.coords if isinstance(t, ProjPoint) else t) for t in (p, q))
     na = math.sqrt(sum(abs(c) ** 2 for c in a))
     nb = math.sqrt(sum(abs(c) ** 2 for c in b))
     a = tuple(c / na for c in a)
@@ -224,7 +218,8 @@ def _integer_adjugate(rows):
 
 @dataclass(frozen=True, eq=False)
 class ProjMap:
-    """An invertible projective map, stored as a 3x3 matrix of scalars."""
+    """An invertible projective map, stored as a 3x3 matrix of scalars;
+    is_exact is decided once, when it is built."""
 
     rows: tuple
 
@@ -233,7 +228,8 @@ class ProjMap:
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise InvalidInput("a projective map needs a 3x3 matrix")
         object.__setattr__(self, "rows", rows)
-        if all_exact(v for r in rows for v in r):
+        object.__setattr__(self, "is_exact", all_exact(v for r in rows for v in r))
+        if self.is_exact:
             if _det3(rows) == 0:
                 raise SingularMap("determinant vanishes")
         else:
@@ -259,10 +255,6 @@ class ProjMap:
     @classmethod
     def scaling(cls, sx, sy, sz) -> "ProjMap":
         return cls(((sx, 0, 0), (0, sy, 0), (0, 0, sz)))
-
-    @property
-    def is_exact(self) -> bool:
-        return all_exact(v for r in self.rows for v in r)
 
     def det(self):
         return _det3(self.rows)
@@ -332,28 +324,12 @@ def _flat_proportional(a, b, tol=TOLERANCE) -> bool:
         if pa != pb:
             return False
         return all(a[pa] * y == b[pa] * x for x, y in zip(a, b))
-    ca = [complex(v) for v in a]
-    cb = [complex(v) for v in b]
-    ma = max(abs(v) for v in ca)
-    mb = max(abs(v) for v in cb)
-    if ma == 0 or mb == 0:
-        return ma == mb
-    ca = [v / ma for v in ca]
-    cb = [v / mb for v in cb]
+    ca, cb = unit_floats(a), unit_floats(b)
     pivot = max(range(len(ca)), key=lambda i: abs(ca[i]))
     if negligible(cb[pivot], 1, tol):
         return False
     phase = ca[pivot] / cb[pivot]
     return all(negligible(x - phase * y, 4, tol) for x, y in zip(ca, cb))
-
-
-def _solve3(rows, rhs):
-    d = _det3(rows)
-    adj = _adjugate(rows)
-    if all_exact([v for r in rows for v in r] + list(rhs)):
-        dd = Fraction(d)
-        return tuple(sum(adj[i][j] * rhs[j] for j in range(3)) / dd for i in range(3))
-    return tuple(sum(adj[i][j] * rhs[j] for j in range(3)) / d for i in range(3))
 
 
 def map_four_points(src, dst) -> ProjMap:
@@ -370,7 +346,7 @@ def map_four_points(src, dst) -> ProjMap:
             cols = ProjMap.from_columns(p0, p1, p2)
         except SingularMap as exc:
             raise CoincidentPoints("quadruple is not in general position") from exc
-        w = _solve3(cols.rows, p3)
+        w = [sum(map(mul, r, p3)) for r in cols.inverse().rows]
         if any(negligible(wi, 1, COINCIDENCE) for wi in w):
             raise CoincidentPoints("quadruple is not in general position")
         return ProjMap.from_columns(

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import eq
 
 import numpy as np
 
@@ -87,7 +89,19 @@ def is_exact(value) -> bool:
 
 
 def all_exact(values) -> bool:
-    return all(is_exact(v) for v in values)
+    return all(map(isinstance, values, repeat(_EXACT)))
+
+
+def has_nan(values) -> bool:
+    """Whether a value of the sequence is NaN, the one scalar unequal to itself."""
+    return not all(map(eq, values, values))
+
+
+def _not_nan(value, source):
+    """The parsed value, or InvalidInput when it is NaN."""
+    if value != value:
+        raise InvalidInput(f"NaN is not a scalar: {source!r}")
+    return value
 
 
 def scalars_close(a, b, tol: float | None = None) -> bool:
@@ -109,6 +123,20 @@ def _integral(values):
     denominator of the exact values."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def unit_floats(values) -> list:
+    """The values divided by their largest magnitude, as floats (complex
+    where a value is): the one float view of a vector known up to scale.
+    Exact values go through their integer representative, so int / int
+    rounds correctly at any height; floating ones are divided by their own
+    largest magnitude."""
+    if all_exact(values):
+        values = _integral(values)[0]
+        top = max(map(abs, values))
+    else:
+        top = float(max(map(abs, values)))
+    return [v / top for v in values]
 
 
 def collapse(value):
@@ -135,7 +163,7 @@ def scalar_from_json(obj):
     if isinstance(obj, int):
         return obj
     if isinstance(obj, float):
-        return obj
+        return _not_nan(obj, obj)
     if isinstance(obj, str):
         try:
             f = Fraction(obj)
@@ -146,9 +174,7 @@ def scalar_from_json(obj):
         re, im = obj
         if not all(isinstance(v, (int, float)) for v in (re, im)):
             raise InvalidInput(f"bad floating scalar {obj!r}")
-        if im == 0:
-            return float(re)
-        return complex(re, im)
+        return _not_nan(float(re) if im == 0 else complex(re, im), obj)
     raise InvalidInput(f"not a scalar: {obj!r}")
 
 
@@ -167,7 +193,7 @@ def parse_scalar(text: str):
             re, im = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise InvalidInput(f"bad scalar {text!r}") from exc
-        return complex(re, im) if im != 0 else re
+        return _not_nan(complex(re, im) if im != 0 else re, text)
     try:
         return int(text)
     except ValueError:
@@ -178,11 +204,11 @@ def parse_scalar(text: str):
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"bad scalar {text!r}") from exc
     try:
-        return float(text)
+        return _not_nan(float(text), text)
     except ValueError:
         pass
     try:
-        return complex(text)
+        return _not_nan(complex(text), text)
     except ValueError as exc:
         raise InvalidInput(f"bad scalar {text!r}") from exc
 
@@ -203,16 +229,18 @@ def poly_roots(coeffs) -> list[complex]:
     """All complex roots of a polynomial, leading coefficient first.
 
     Companion-matrix eigenvalues followed by one Newton polish per root.
-    Leading zeros are stripped; the effective degree may drop.
+    Negligible leading coefficients are stripped, each tested as given (an
+    exact one only when it is 0); the effective degree may drop.
     """
-    cs = [complex(c) for c in coeffs]
-    scale = max((abs(c) for c in cs), default=0.0)
+    coeffs = list(coeffs)
+    scale = max((abs(complex(c)) for c in coeffs), default=0.0)
     if scale == 0.0:
         raise ZeroLeadingCoefficient("zero polynomial")
-    while cs and negligible(cs[0], scale, LEADING_DROP):
-        cs.pop(0)
-    if len(cs) <= 1:
+    while coeffs and negligible(coeffs[0], scale, LEADING_DROP):
+        coeffs.pop(0)
+    if len(coeffs) <= 1:
         return []
+    cs = [complex(c) for c in coeffs]
     raw = np.roots(np.array(cs, dtype=complex))
     return [complex(_newton_step(cs, complex(r))) for r in raw]
 

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +231,54 @@ def test_exit_nan_parameter(capsys, argv):
     code = main(list(argv))
     assert code == 2
     assert "NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hesse-j", "--k", "nan"),
+    ("j-invariant", "--standard", "nan,1"),
+    ("flexes", "--hesse", "nan"),
+    ("to-hesse", "--standard", "nan,1"),
+    ("flexes", "--curve", "{nan_file}"),
+    ("lattice-curve", "--tau", "nan,1"),
+    ("mul", "--standard", "0,1", "--base", "0,1,0", "--p", "nan,3", "--n", "2"),
+], ids=" ".join)
+def test_exit_nan_input(tmp_path, capsys, argv):
+    # a NaN literal in a coefficient file, as json.dump writes it
+    nan_file = tmp_path / "nan.json"
+    nan_file.write_text(json.dumps([1, 0, 0, 0, float("nan"), 0, 1, 0, 0, 1]))
+    code = main([a.format(nan_file=nan_file) for a in argv])
+    assert code == 2
+    assert "NaN" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The cubica commands of README.md's "Command line" section, without
+    the shell pipes some of them show."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"^```\w*\n(.*?)^```", section, re.M | re.S):
+        for line in block.splitlines():
+            line = line.removeprefix("$ ")
+            if line.startswith("cubica "):
+                commands.append(shlex.split(line.split("|")[0])[1:])
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # where the figure commands write
+    assert main(argv) == 0
+    if "-o" in argv:
+        assert (tmp_path / argv[argv.index("-o") + 1]).read_text().startswith("<svg")
+    else:
+        assert capsys.readouterr().out
+
+
+def test_readme_commands_are_found():
+    # the figure commands too, which no other test runs with these options
+    names = {argv[0] for argv in _readme_commands()}
+    assert {"hesse-j", "mul", "pencil-svg", "jgraph-svg", "canonical-svg", "triangle-svg", "voronoi-svg"} <= names
 
 
 @pytest.mark.parametrize("k", ["inf", "-inf"])

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -50,6 +51,14 @@ def test_form_needs_ten_coeffs():
         CubicForm((1, 2, 3))
     with pytest.raises(InvalidInput):
         CubicForm((0,) * 10)
+
+
+def test_form_rejects_nan_and_keeps_infinity():
+    with pytest.raises(InvalidInput, match="NaN"):
+        CubicForm((1.0, 0, 0, 0, math.nan, 0, 1, 0, 0, 1))
+    with pytest.raises(InvalidInput, match="NaN"):
+        hesse_form(math.nan)
+    assert CubicForm((1, 0, 0, 0, math.inf, 0, 1, 0, 0, 1)).coeffs[4] == math.inf
 
 
 def test_evaluate_and_gradient_euler():
@@ -577,6 +586,14 @@ def test_singular_points_of_exact_input_are_exact():
     for form, want in ((lines, ProjPoint(0, 0, 1)), (transform(lines, a), a.apply(ProjPoint(0, 0, 1)))):
         pts = singular_points(form)
         assert pts == [want] and pts[0].is_exact
+
+
+def test_singular_point_past_the_float_range():
+    # the node (0 : 0 : 1) of NODAL moved to (10^400 : 1 : -1): located
+    # exactly, and sorted without converting it to complex
+    big = 10 ** 400
+    pts = singular_points(transform(NODAL, ProjMap(((1, 0, big), (0, 1, 1), (0, 0, -1)))))
+    assert pts == [ProjPoint(big, 1, -1)] and pts[0].is_exact
 
 
 def test_restrict_to_line_degree():

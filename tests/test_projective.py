@@ -1,9 +1,10 @@
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
 
-from cubica.errors import CoincidentPoints, SingularMap
+from cubica.errors import CoincidentPoints, InvalidInput, SingularMap
 from cubica.projective import (
     ProjLine,
     ProjMap,
@@ -24,6 +25,18 @@ def test_point_equality_is_projective():
 def test_point_equality_mixed_exactness():
     assert ProjPoint(1, -1, 0) == ProjPoint(-1.0, 1.0, 0.0)
     assert ProjPoint(0, 1, -1) == ProjPoint(0.0, -0.5, 0.5)
+
+
+def test_exact_point_past_the_float_range_equals_a_float_one():
+    # (10^400 : 1 : 1) is (1 : 0 : 0) to far below the tolerance
+    assert ProjPoint(10 ** 400, 1, 1) == ProjPoint(1.0, 0.0, 0.0)
+    assert ProjPoint(10 ** 400, 1, 1) != ProjPoint(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("coords", [(math.nan, 1, 0), (1, complex(0, math.nan), 1)])
+def test_nan_coordinates_rejected(coords):
+    with pytest.raises(InvalidInput, match="NaN"):
+        ProjPoint(*coords)
 
 
 def test_zero_triple_rejected():
@@ -99,6 +112,20 @@ def test_map_four_points():
     m = map_four_points(src, dst)
     for s, d in zip(src, dst):
         assert m.apply(s) == d
+
+
+def test_map_four_points_exact():
+    # onto the frame (1 : 2 : 0), (0 : 1 : 1), (1 : 0 : 1), unit (1 : 1 : 1):
+    # (1, 1, 1) = (1, 2, 0) / 3 + (0, 1, 1) / 3 + 2 (1, 0, 1) / 3, so the
+    # columns are those points times 1/3, 1/3 and 2/3
+    frame = [ProjPoint(1, 0, 0), ProjPoint(0, 1, 0), ProjPoint(0, 0, 1), ProjPoint(1, 1, 1)]
+    dst = [ProjPoint(1, 2, 0), ProjPoint(0, 1, 1), ProjPoint(1, 0, 1), ProjPoint(1, 1, 1)]
+    m = map_four_points(frame, dst)
+    third = Fraction(1, 3)
+    assert m.is_exact
+    assert m.rows == ((third, 0, 2 * third), (2 * third, third, 0), (0, third, 2 * third))
+    back = map_four_points(dst, frame)
+    assert back.is_exact and back == ProjMap(((1, 0, 2), (2, 1, 0), (0, 1, 2))).inverse()
 
 
 def test_map_four_points_degenerate():

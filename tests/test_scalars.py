@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from cubica.scalars import (
     scalar_from_json,
     scalar_to_json,
     scalars_close,
+    unit_floats,
 )
+from cubica.standard import StandardCurve, triangle_shape
 
 
 def test_parse_scalar_exact_forms():
@@ -82,3 +85,54 @@ def test_roots_sorted_by_real_then_imag():
 def test_poly_roots_strips_tiny_lead():
     rs = poly_roots([1e-20, 1.0, -2.0])
     assert len(rs) == 1 and abs(rs[0] - 2.0) < 1e-9
+
+
+def test_a_monic_cubic_keeps_its_degree_at_any_height():
+    # the exact leading 1 is tested as given, not against 1e-14 of |a|
+    assert len(roots_cubic(1, 0, -10 ** 15, 1)) == 3
+    shape = triangle_shape(StandardCurve(-1e14, 1))
+    assert [r.real for r in shape.vertices] == pytest.approx([-1e7, 1e-14, 1e7], rel=1e-12, abs=0)
+    assert shape.tag == "collinear-with-midpoint"
+    # a floating leading coefficient still drops
+    with pytest.raises(ZeroLeadingCoefficient):
+        roots_cubic(1.0, 0, -10 ** 15, 1)
+
+
+@pytest.mark.parametrize("text", ["nan", "-nan", "NaN", "nanj", "nan,1", "1,nan"])
+def test_parse_scalar_rejects_nan(text):
+    with pytest.raises(InvalidInput, match="NaN"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("obj", [math.nan, [math.nan, 0.0], [1.0, math.nan]])
+def test_scalar_from_json_rejects_nan(obj):
+    with pytest.raises(InvalidInput, match="NaN"):
+        scalar_from_json(obj)
+
+
+def test_infinity_stays_a_scalar():
+    assert parse_scalar("inf") == math.inf
+    assert scalar_from_json(-math.inf) == -math.inf
+
+
+@pytest.mark.parametrize("values", [
+    [10 ** 400, 3 * 10 ** 399 + 1, -7, 0],
+    [Fraction(10 ** 400, 3), Fraction(-(10 ** 399), 7), 1],
+    [Fraction(1, 10 ** 400), Fraction(-2, 3 * 10 ** 400), Fraction(5, 7 * 10 ** 401)],
+    [Fraction(1, 3), Fraction(2, 7), -5],
+])
+def test_unit_floats_of_exact_values_at_any_height(values):
+    top = max(map(abs, values))
+    got = unit_floats(values)
+    assert got == [float(Fraction(v) / top) for v in values]
+    assert all(type(v) is float for v in got)
+
+
+def test_unit_floats_of_floating_and_mixed_values():
+    assert unit_floats([3 + 4j, 1.0, -2.5]) == [0.6 + 0.8j, 0.2, -0.5]
+    assert unit_floats((0.0, -8.0, 2.0)) == [0.0, -1.0, 0.25]
+    # a mixed vector is floating: every entry comes out a float, an exact
+    # largest entry included
+    for values, want in (([1, 0.5, Fraction(1, 4)], [1.0, 0.5, 0.25]), ([Fraction(2), -0.5], [1.0, -0.25])):
+        got = unit_floats(values)
+        assert got == want and all(type(v) is float for v in got)

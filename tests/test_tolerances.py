@@ -122,9 +122,9 @@ def test_leading_drop_sites_agree(delta, dropped):
     with pytest.raises(ZeroLeadingCoefficient) if dropped else nullcontext():
         roots_cubic(delta, 1.0, 0.5, 0.25)
     hesse = CubicForm((1.0, delta, 0, 0, -1.0, 0, 1.0, 0, 0, 1.0))
-    assert (_match_hesse_pattern(hesse) is not None) is dropped
+    assert _match_hesse_pattern(hesse) is dropped
     standard = CubicForm((1.0, 0, 0, 0, delta, -0.5, 0, -1.0, 0, 0.25))
-    assert (_match_standard_pattern(standard) is not None) is dropped
+    assert _match_standard_pattern(standard) is dropped
     assert (MobiusMap((1.0, 0.0, delta, 1.0)).apply(math.inf) == math.inf) is dropped
 
 
