@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -118,7 +119,7 @@ def _trace_product(a, b):
 class CubicForm:
     """A ternary cubic, identified projectively (up to a global factor);
     is_exact, whether every coefficient is int or Fraction, is decided
-    once, when it is built."""
+    once, when it is built, and its pencil <f, Hess f> once, on first use."""
 
     coeffs: tuple
 
@@ -182,6 +183,18 @@ class CubicForm:
         if den != 1:
             coeffs = [Fraction(c, den ** 3) for c in coeffs]
         return CubicForm(coeffs)
+
+    # the pencil, built on first use and kept on the form: the verdict (c,
+    # hc, sigma, tau) of _smooth_coefficients, the (triangles, flexes) of
+    # _pencil_triangles and the map (k, A) into the Hesse pencil
+    _verdict = cached_property(lambda self: _smooth_coefficients(self))
+    _pencil = cached_property(lambda self: _converging(_pencil_triangles, *self._verdict))
+
+    @cached_property
+    def _pencil_map(self):
+        from .hesse import _into_pencil  # hesse imports this module
+
+        return _converging(_into_pencil, self, self._pencil[0])
 
     def normalized(self) -> "CubicForm":
         """Scale to a projective normal form (same convention as points)."""
@@ -547,8 +560,18 @@ _WEIGHTS = {q: 91125 // sum(v * v for v in q) ** 3 for q in MONOMIALS}
 
 
 def _invariants_at_point(c, hc):
-    """(sigma, tau) of the cubic with coefficients c and Hessian coefficients
-    hc, read at one point (see _invariants); exact on exact input."""
+    """The invariants (sigma, tau), of degrees 4 and 6, of the cubic f with
+    coefficients c and Hessian coefficients hc, read at one point; exact on
+    exact input.  They are S and T up to constants, defined by the Hessian
+    of the pencil <f, h> spanned by f and its Hessian h,
+
+        Hess(f + t h) = (sigma t + tau t^2 + sigma^2 t^3 / 3) f
+                        + (1 - sigma t^2 - tau t^3 / 3) h.
+
+    The coefficients of t and t^2 give them at any point p with f(p) != 0,
+    with M_f, M_h the matrices of second partials of f and h at p:
+    sigma = tr(adj M_f M_h) / f(p), tau = (tr(M_f adj M_h) + sigma h(p)) / f(p).
+    """
     f, h = CubicForm(c), CubicForm(hc)
     # the ten points (i, j, k), i + j + k = 3, have an evaluation matrix of
     # rank 10, so f vanishes at no more than nine of them; the largest
@@ -564,29 +587,6 @@ def _invariants_at_point(c, hc):
     return sigma, (s2 + sigma * hp) / fp
 
 
-def _invariants(form: CubicForm):
-    """The invariants (sigma, tau) of the form, of degrees 4 and 6: S and T
-    up to constants, defined by the Hessian of the pencil <f, h> spanned by
-    the form f and its Hessian h,
-
-        Hess(f + t h) = (sigma t + tau t^2 + sigma^2 t^3 / 3) f
-                        + (1 - sigma t^2 - tau t^3 / 3) h.
-
-    The coefficients of t and t^2 give them at any point p with f(p) != 0,
-    with M_f, M_h the matrices of second partials of f and h at p:
-    sigma = tr(adj M_f M_h) / f(p), tau = (tr(M_f adj M_h) + sigma h(p)) / f(p).
-    The curve is singular exactly when 4 sigma^3 = 3 tau^2, and
-    J = 4 sigma^3 / (4 sigma^3 - 3 tau^2).  Exact input expands h once on its
-    integer representative ints / den and divides by den^4 and den^6.
-    DegenerateForm when h vanishes identically.
-    """
-    if form.is_exact:
-        ints, den = _integral(form.coeffs)
-        sigma, tau = _invariants_at_point(ints, CubicForm(ints).hessian().coeffs)
-        return sigma / den ** 4, tau / den ** 6
-    return _invariants_at_point(form.coeffs, form.hessian().coeffs)
-
-
 # the nine cubics x_i f_j, which span the degree-3 part of the Jacobian
 # ideal of f, are linear in its coefficients c: row 3j + i of
 # c . _JACOBIAN holds the coefficients of x_i f_j
@@ -598,35 +598,42 @@ _JACOBIAN = np.array([
 def _representative(form: CubicForm):
     """The form's coefficients as the verdict and the constructions use
     them: its integer representative on exact input, so that its Hessian
-    expands exactly, and scaled to unit largest coefficient on floats, so
-    that its Hessian neither overflows nor underflows."""
-    return _integral(form.coeffs)[0] if form.is_exact else unit_floats(form.coeffs)
+    expands exactly, and on floats scaled exactly, by a power of two, to
+    largest magnitude in [1/2, 1), so that its Hessian and invariants
+    neither overflow nor underflow."""
+    if form.is_exact:
+        return _integral(form.coeffs)[0]
+    e = -math.frexp(max(map(abs, form.coeffs)))[1]
+    return [
+        complex(math.ldexp(v.real, e), math.ldexp(v.imag, e)) if isinstance(v, complex) else math.ldexp(v, e)
+        for v in form.coeffs
+    ]
 
 
 def _smooth_coefficients(form: CubicForm):
-    """(c, hc): the form's coefficients c (see _representative) and those
-    of its Hessian, once the curve is judged smooth; SingularCurve when it
-    is singular, as when hc vanishes identically (three concurrent lines, a
-    repeated factor).
+    """(c, hc, sigma, tau): the form's coefficients c (see _representative),
+    those of its Hessian and its invariants (see _invariants_at_point), once
+    the curve is judged smooth; SingularCurve when it is singular, as when
+    hc vanishes identically (three concurrent lines, a repeated factor).
 
-    Exact input is judged exactly: singular when 4 sigma^3 = 3 tau^2 (see
-    _invariants).  Floating input stacks the 9 x 10 matrix M of the cubics
-    x_i f_j (see _JACOBIAN) and hc as a tenth row, each scaled to unit
-    norm.  Its determinant is an invariant of degree 12 that vanishes
-    exactly on singular curves: for a smooth f, M has rank 9 and hc spans
-    the one direction M misses (the socle of the Jacobian ring), while at a
-    singular point p every x_i f_j and the Hessian vanish, so the monomials
-    of p are a kernel vector.  The curve is singular when the smallest
-    singular value is at most SINGULAR_RANK times the largest, which calls
-    smooth curves smooth under maps of condition up to 1e3.
+    Exact input is judged exactly: singular when 4 sigma^3 = 3 tau^2.
+    Floating input stacks the 9 x 10 matrix M of the cubics x_i f_j (see
+    _JACOBIAN) and hc as a tenth row, each scaled to unit norm.  Its
+    determinant is an invariant of degree 12 that vanishes exactly on
+    singular curves: for a smooth f, M has rank 9 and hc spans the one
+    direction M misses (the socle of the Jacobian ring), while at a singular
+    point p every x_i f_j and the Hessian vanish, so the monomials of p are
+    a kernel vector.  The curve is singular when the smallest singular value
+    is at most SINGULAR_RANK times the largest, which calls smooth curves
+    smooth under maps of condition up to 1e3.
     """
     c = _representative(form)
     try:
         hc = CubicForm(c).hessian().coeffs
     except DegenerateForm:
         raise SingularCurve("the Hessian vanishes identically") from None
+    sigma, tau = _invariants_at_point(c, hc)
     if form.is_exact:
-        sigma, tau = _invariants_at_point(c, hc)
         singular = 4 * sigma ** 3 == 3 * tau ** 2
     else:
         m, h = np.tensordot(np.array(c), _JACOBIAN, 1), np.array(hc)
@@ -634,14 +641,14 @@ def _smooth_coefficients(form: CubicForm):
         singular = s[-1] <= SINGULAR_RANK * s[0]
     if singular:
         raise SingularCurve("curve is singular")
-    return c, hc
+    return c, hc, sigma, tau
 
 
-def _pencil_triangles(c, hc):
+def _pencil_triangles(c, hc, sigma, tau):
     """The triangles of the pencil <f, h> spanned by the smooth cubic f and
-    its Hessian h, with coefficients c and hc (see _smooth_coefficients),
-    each scaled to unit largest coefficient, and the nine flexes where
-    their sides meet.
+    its Hessian h, with coefficients c and hc and invariants sigma and tau
+    (see _smooth_coefficients), each scaled to unit largest coefficient, and
+    the nine flexes where their sides meet.
 
     For a smooth f that is not itself a triangle the pencil has exactly four
     singular members, each a triangle of inflection lines, and each flex
@@ -649,7 +656,7 @@ def _pencil_triangles(c, hc):
     pencil of plane cubic curves", 2009, sections 1-2).  The Hessian maps
     the pencil to itself, Hess(f + t h) = a(t) f + b(t) h, and the triangles
     are its fixed points: by the closed form of a and b in the invariants
-    (see _invariants), the roots of
+    (see _invariants_at_point), the roots of
 
         (sigma^2 / 3) t^4 + (4 tau / 3) t^3 + 2 sigma t^2 - 1.
 
@@ -675,7 +682,6 @@ def _pencil_triangles(c, hc):
     """
     exact = all_exact(c)
     top = max(abs(v) for v in c)
-    sigma, tau = _invariants_at_point(c, hc)
     h_top = max(abs(v) for v in hc)
     # f and h scaled to unit largest coefficient, with the invariants of
     # the pair f + t h in that scaling
@@ -762,18 +768,11 @@ def _pencil_triangles(c, hc):
     return triangles, flexes
 
 
-def _from_pencil_triangles(form: CubicForm, build):
-    """build(triangles, flexes) from _pencil_triangles on the form.
-
-    The verdict (_smooth_coefficients) comes first, on the coefficients and
-    the Hessian the construction then uses, so a singular curve raises
-    SingularCurve even where the meets of its triangles would polish to
-    nine points.  Any failure of the construction on a curve judged smooth
-    is ConvergenceFailure.
-    """
-    c, hc = _smooth_coefficients(form)
+def _converging(build, *args):
+    """build(*args), any failure of it on a curve judged smooth (see
+    _smooth_coefficients) as ConvergenceFailure."""
     try:
-        return build(*_pencil_triangles(c, hc))
+        return build(*args)
     except ConvergenceFailure:
         raise
     except (CubicaError, ArithmeticError, np.linalg.LinAlgError) as exc:
@@ -788,7 +787,7 @@ def find_flexes(form: CubicForm) -> FlexSet:
     other in a flex, which Newton then polishes on the curve and on its
     Hessian (see _polish_flexes).
     """
-    return _from_pencil_triangles(form, lambda triangles, flexes: flexes)
+    return form._pencil[1]
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +920,6 @@ def is_smooth(form: CubicForm) -> bool:
     _smooth_coefficients, exact on exact input and on floats a rank test,
     certified for smooth curves under maps of condition up to 1e3."""
     try:
-        _smooth_coefficients(form)
+        return bool(form._verdict)
     except SingularCurve:
         return False
-    return True

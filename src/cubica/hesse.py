@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cubic import MONOMIALS, CubicForm, _float_form, _from_pencil_triangles, transform
+from .cubic import MONOMIALS, CubicForm, _float_form, transform
 from .errors import ConvergenceFailure, InvalidInput, SingularParameter
 from .projective import ProjMap, ProjPoint, _flat_proportional
 from .scalars import (
     COINCIDENCE, LEADING_DROP, PENCIL_RESIDUAL, REDUCTION_DUST, ROUNDING, TOLERANCE,
-    all_exact, collapse, is_exact, negligible, poly_roots,
+    all_exact, collapse, has_nan, is_exact, negligible, poly_roots,
 )
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -169,6 +169,8 @@ class MobiusMap:
         e = tuple(self.entries)
         if len(e) != 4:
             raise InvalidInput("a Mobius map has 4 entries")
+        if has_nan(e):
+            raise InvalidInput("a Mobius map cannot have a NaN entry")
         a, b, c, d = e
         top = max(abs(v) for v in e)
         if negligible(a * d - b * c, top * top, COINCIDENCE):
@@ -370,9 +372,10 @@ def _triangle_map(form: CubicForm, sides):
     return a, CubicForm(image)
 
 
-def _closest_member(form: CubicForm, triangles):
-    """(A, k, residual) for the triangle whose image is nearest the pencil,
-    k and residual read from that image by _pencil_parameter.
+def _into_pencil(form: CubicForm, triangles):
+    """(k, A) for the triangle whose image is nearest the pencil, k read
+    from that image by _pencil_parameter and without dust; ConvergenceFailure
+    when the image is further than PENCIL_RESIDUAL from the pencil.
 
     When every coefficient is real, only the triangle with three real sides
     is taken.  A smooth real cubic has exactly one; its map is real, and so
@@ -387,13 +390,7 @@ def _closest_member(form: CubicForm, triangles):
     maps = [_triangle_map(form, s) for s in triangles]
     if not maps:
         raise ConvergenceFailure("no triangle of the pencil gives a map")
-    return min(((a,) + _pencil_parameter(image) for a, image in maps), key=lambda m: m[2])
-
-
-def _into_pencil(form: CubicForm, triangles):
-    """(k, A) from _closest_member, its k without dust; ConvergenceFailure
-    when the image is further than PENCIL_RESIDUAL from the pencil."""
-    a, k, dev = _closest_member(form, triangles)
+    a, k, dev = min(((a,) + _pencil_parameter(image) for a, image in maps), key=lambda m: m[2])
     if dev > PENCIL_RESIDUAL:
         raise ConvergenceFailure(f"reduction into the pencil left residual {dev:.2e}")
     return _without_dust(k), a
@@ -443,7 +440,7 @@ def to_hesse(form: CubicForm, canonical: bool = False):
     (-pi, pi], and A is adjusted to match.  It is often complex for a real
     curve.
     """
-    k, a = _from_pencil_triangles(form, lambda triangles, flexes: _into_pencil(form, triangles))
+    k, a = form._pencil_map
     if canonical:
         orbit = [(_without_dust(m.apply(k)), p) for m, p in _tetrahedral_pairs()]
         orbit = [(kk, p) for kk, p in orbit if not _is_infinite(kk)]

@@ -111,6 +111,8 @@ class ProjLine:
     w: Scalar
 
     def __post_init__(self):
+        if has_nan(self.coeffs):
+            raise InvalidInput("a NaN coefficient is not a line")
         if self.u == 0 and self.v == 0 and self.w == 0:
             raise InvalidInput("a line needs a nonzero coefficient triple")
 
@@ -227,8 +229,11 @@ class ProjMap:
         rows = tuple(tuple(r) for r in self.rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise InvalidInput("a projective map needs a 3x3 matrix")
+        entries = rows[0] + rows[1] + rows[2]
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "is_exact", all_exact(v for r in rows for v in r))
+        object.__setattr__(self, "is_exact", all_exact(entries))
+        if not self.is_exact and has_nan(entries):
+            raise InvalidInput("a NaN entry is not a projective map")
         if self.is_exact:
             if _det3(rows) == 0:
                 raise SingularMap("determinant vanishes")

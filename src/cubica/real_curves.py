@@ -5,8 +5,8 @@ Every smooth real cubic is real-projectively equivalent to exactly one real
 member x^3 + y^3 + z^3 = 3k xyz with k != 1.  Of the four triangles of the
 pencil spanned by the curve and its Hessian, one has three real sides, and
 the map sending them to the coordinate lines carries the curve onto that
-member (see hesse._closest_member).  classify_real reads k off that map,
-the real flexes off the same pass, and J, the signs of a and b in
+member (see hesse._into_pencil).  classify_real reads k off that map, the
+real flexes off the same pencil, and J, the signs of a and b in
 y^2 = x^3 + ax + b and the number of components off the invariants
 (sigma, tau), which are -576a and 41472b on the Weierstrass model.
 """
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from .cubic import (
     CubicForm,
+    _converging,
     _float_form,
-    _from_pencil_triangles,
-    _invariants,
     _match_hesse_pattern,
     _point_sort_key,
     evaluate_grid,
@@ -33,7 +32,7 @@ from .errors import (
     OneComponent,
     SingularCurve,
 )
-from .hesse import _into_pencil, hesse_form
+from .hesse import hesse_form
 from .march import implicit_curve, is_closed
 from .projective import (
     ProjLine,
@@ -48,7 +47,10 @@ _SQRT3 = math.sqrt(3.0)
 
 
 def _realify_form(form: CubicForm) -> CubicForm:
-    """The same form with real coefficients, or ComplexCoefficients."""
+    """The same form with real coefficients, or ComplexCoefficients: the
+    form itself, pencil and all, when no coefficient is complex."""
+    if not any(isinstance(c, complex) for c in form.coeffs):
+        return form
     top = max(abs(c) for c in form.coeffs)
     for c in form.coeffs:
         if isinstance(c, complex) and not negligible(c.imag, top, TOLERANCE):
@@ -99,8 +101,8 @@ class RealClassification:
 
     k is the curve's own real pencil parameter (never 1), read off the map
     of the one real triangle of its pencil, as to_hesse reads it.  J is
-    4 sigma^3 / (4 sigma^3 - 3 tau^2) in the invariants (see
-    cubic._invariants), exact on exact input.  On y^2 = x^3 + ax + b,
+    4 sigma^3 / (4 sigma^3 - 3 tau^2) in the invariants of the verdict (see
+    cubic._smooth_coefficients), exact on exact input.  On y^2 = x^3 + ax + b,
     sigma = -576a and tau = 41472b, so sign_a is the sign of -sigma, sign_b
     that of tau, and the curve has two components exactly when
     4 sigma^3 - 3 tau^2 > 0.  real_flexes are the three real flexes.
@@ -118,21 +120,19 @@ def _sign_of(v, other, weight) -> int:
     """Sign with a scale-aware zero: v is compared against |other|^weight."""
     if not is_exact(v):
         v = complex(v).real
-        if negligible(v, max(abs(other) ** weight, abs(v), 1e-300), REDUCTION_DUST):
+        if negligible(v, max(abs(other) ** weight, abs(v)), REDUCTION_DUST):
             return 0
     return (v > 0) - (v < 0)
 
 
 def classify_real(form: CubicForm) -> RealClassification:
     """The complete invariant of a smooth real cubic (see RealClassification)
-    from one pass into the triangles of its pencil and from its invariants.
-    ComplexCoefficients when a coefficient is not real, SingularCurve when
-    the curve is singular (the verdict of cubic._smooth_coefficients)."""
+    from the map into the pencil, the flexes and the invariants the form
+    keeps.  ComplexCoefficients when a coefficient is not real,
+    SingularCurve when the curve is singular (cubic._smooth_coefficients)."""
     form = _realify_form(form)
-    k, flexes = _from_pencil_triangles(
-        form, lambda triangles, flexes: (_into_pencil(form, triangles)[0], flexes)
-    )
-    sigma, tau = _invariants(form)
+    k = form._pencil_map[0]
+    _, _, sigma, tau = form._verdict
     disc = 4 * sigma ** 3 - 3 * tau ** 2
     return RealClassification(
         k=k,
@@ -140,7 +140,7 @@ def classify_real(form: CubicForm) -> RealClassification:
         sign_b=_sign_of(tau, sigma, 1.5),
         sign_a=-_sign_of(sigma, tau, 2.0 / 3.0),
         components=2 if disc > 0 else 1,
-        real_flexes=_HESSE_REAL_FLEXES if _match_hesse_pattern(form) else _real_points(flexes),
+        real_flexes=real_flexes(form),
     )
 
 
@@ -168,10 +168,9 @@ def real_automorphisms(form: CubicForm):
     checked on the form in floating point (see cubic._float_form).
     """
     form = _realify_form(form)
-    floats = _float_form(form)
+    a, floats = form._pencil_map[1], _float_form(form)
 
-    def conjugate(triangles, flexes):
-        a = _into_pencil(form, triangles)[1]
+    def conjugates():
         inv = a.inverse()
         maps = tuple(inv.compose(ProjMap(p)).compose(a) for p in _PERM_MAPS)
         for m in maps:
@@ -179,7 +178,7 @@ def real_automorphisms(form: CubicForm):
                 raise ConvergenceFailure("candidate map does not preserve the curve")
         return maps
 
-    return _from_pencil_triangles(form, conjugate)
+    return _converging(conjugates)
 
 
 # ---------------------------------------------------------------------------

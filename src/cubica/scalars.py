@@ -12,6 +12,7 @@ thresholds below and negligible, the one test of whether a value is zero.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import repeat
 from operator import eq
@@ -130,12 +131,20 @@ def unit_floats(values) -> list:
     where a value is): the one float view of a vector known up to scale.
     Exact values go through their integer representative, so int / int
     rounds correctly at any height; floating ones are divided by their own
-    largest magnitude."""
+    largest magnitude.  When that is an exact value past the float range, a
+    mixed vector is divided exactly, each float being exactly a Fraction and
+    each complex value its real and imaginary parts."""
     if all_exact(values):
         values = _integral(values)[0]
         top = max(map(abs, values))
-    else:
-        top = float(max(map(abs, values)))
+        return [v / top for v in values]
+    top = max(map(abs, values))
+    if is_exact(top) and top > sys.float_info.max:
+        def unit(v):
+            return float(Fraction(v) / top)
+
+        return [complex(unit(v.real), unit(v.imag)) if isinstance(v, complex) else unit(v) for v in values]
+    top = float(top)
     return [v / top for v in values]
 
 

@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cubica import cubic
+from cubica import cubic, hesse
 from cubica.cubic import (
     MONOMIALS,
     CubicForm,
     _at_points,
     _hessian_det,
-    _invariants,
+    _invariants_at_point,
     _polish_flexes,
     _second_partials,
     _second_partials_at,
@@ -31,13 +31,16 @@ from cubica.cubic import (
 )
 from cubica.errors import (
     ConvergenceFailure,
+    CubicaError,
     DegenerateForm,
     InvalidInput,
     SingularCurve,
     SingularMap,
 )
+from cubica.group_law import flex_based_group, three_torsion
 from cubica.hesse import hesse_form, j_of_k, to_hesse
 from cubica.projective import ProjMap, ProjPoint, proj_distance
+from cubica.real_curves import classify_real, real_automorphisms, real_flexes
 from cubica.standard import StandardCurve
 
 # coefficient order: x^3, x^2 y, x^2 z, x y^2, x y z, x z^2, y^3, y^2 z, y z^2, z^3
@@ -307,6 +310,11 @@ def test_hessian_transform_covariance_rational():
         assert lhs.coeffs == tuple(c / a.det() ** 2 for c in rhs.coeffs)
 
 
+def _invariants(f):
+    """(sigma, tau) of the form f itself, exact on exact input."""
+    return _invariants_at_point(f.coeffs, f.hessian().coeffs)
+
+
 def test_invariants_give_hessian_of_pencil():
     # Hess(f + t h) = (s t + u t^2 + s^2 t^3 / 3) f + (1 - s t^2 - u t^3 / 3) h
     # with (s, u) = _invariants(f), coefficient for coefficient against the
@@ -523,7 +531,7 @@ def test_exact_fallback_verdict_is_exact(monkeypatch):
     # with the triangle construction failing, the verdict alone decides:
     # exact input by the exact verdict, not by a floating one, which once
     # called these smooth curves degenerate
-    def fail(c, hc):
+    def fail(c, hc, sigma, tau):
         raise ConvergenceFailure("no triangle")
 
     monkeypatch.setattr(cubic, "_pencil_triangles", fail)
@@ -537,6 +545,109 @@ def test_exact_fallback_verdict_is_exact(monkeypatch):
         find_flexes(nodal)
     with pytest.raises(SingularCurve):
         to_hesse(nodal)
+
+
+# every reader of a form's pencil: the verdict, the triangles and flexes,
+# the map into the Hesse pencil
+PENCIL_READERS = {
+    "is_smooth": is_smooth,
+    "find_flexes": find_flexes,
+    "to_hesse": to_hesse,
+    "to_hesse canonical": lambda f: to_hesse(f, canonical=True),
+    "classify_real": classify_real,
+    "real_flexes": real_flexes,
+    "real_automorphisms": real_automorphisms,
+    "flex_based_group": flex_based_group,
+    "three_torsion": lambda f: three_torsion(flex_based_group(f)),
+}
+REAL_MAP = ((1, 1, 0), (0, 1, 2), (1, 0, 1))
+
+
+def _counted(monkeypatch, module, name):
+    """The calls made to module.name from now on."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _failure(read, form):
+    """(class, message) of the error read(form) raises."""
+    with pytest.raises(CubicaError) as info:
+        read(form)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_form_builds_its_pencil_once(monkeypatch, exact):
+    triangles = _counted(monkeypatch, cubic, "_pencil_triangles")
+    maps = _counted(monkeypatch, hesse, "_into_pencil")
+    form = transform(hesse_form(2 if exact else 2.0), ProjMap(REAL_MAP))
+    assert form.is_exact is exact
+    for name, read in PENCIL_READERS.items():
+        # each reader alone builds at most one pencil and one map on a fresh
+        # form, and nothing again when asked twice
+        alone = CubicForm(form.coeffs)
+        before = len(triangles), len(maps)
+        read(alone)
+        read(alone)
+        built = len(triangles) - before[0], len(maps) - before[1]
+        assert built <= (1, 1) and built[1] <= built[0], name
+        if name == "is_smooth":
+            assert built == (0, 0)
+    before = len(triangles), len(maps)
+    for read in PENCIL_READERS.values():
+        read(form)
+    assert (len(triangles) - before[0], len(maps) - before[1]) == (1, 1)
+
+
+def test_a_singular_form_fails_alike_on_every_call(monkeypatch):
+    triangles = _counted(monkeypatch, cubic, "_pencil_triangles")
+    exact = transform(NODAL, ProjMap(REAL_MAP))
+    for form in (exact, CubicForm(tuple(map(float, exact.coeffs)))):
+        assert not is_smooth(form)
+        for name, read in PENCIL_READERS.items():
+            if name != "is_smooth":
+                first = _failure(read, form)
+                assert first[0] is SingularCurve and _failure(read, form) == first, name
+    assert not triangles
+
+
+def test_failures_after_the_verdict_are_convergence_failures(monkeypatch):
+    def fail(*args):
+        raise np.linalg.LinAlgError("no pencil")
+
+    form = transform(hesse_form(2.0), ProjMap(REAL_MAP))
+    monkeypatch.setattr(cubic, "_pencil_triangles", fail)
+    assert is_smooth(form)
+    for name, read in PENCIL_READERS.items():
+        if name != "is_smooth":
+            first = _failure(read, form)
+            assert first[0] is ConvergenceFailure and _failure(read, form) == first, name
+    monkeypatch.undo()
+    # the map into the pencil, and the conjugation real_automorphisms makes
+    # with it, fail alike
+    monkeypatch.setattr(hesse, "_into_pencil", lambda form, triangles: 1 / 0)
+    form = transform(hesse_form(2.0), ProjMap(REAL_MAP))
+    assert len(find_flexes(form)) == 9
+    for read in (to_hesse, classify_real, real_automorphisms):
+        first = _failure(read, form)
+        assert first[0] is ConvergenceFailure and "ZeroDivisionError" in first[1]
+        assert _failure(read, form) == first
+    monkeypatch.undo()
+    form = transform(hesse_form(2.0), ProjMap(REAL_MAP))
+    to_hesse(form)
+
+    def singular(self):
+        raise SingularMap("no inverse")
+
+    monkeypatch.setattr(ProjMap, "inverse", singular)
+    assert _failure(real_automorphisms, form) == (ConvergenceFailure, "triangle construction failed: "
+                                                  "SingularMap('no inverse')")
 
 
 def test_is_smooth_false_on_vanishing_hessian():

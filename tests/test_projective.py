@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cubica.errors import CoincidentPoints, InvalidInput, SingularMap
+from cubica.hesse import MobiusMap
 from cubica.projective import (
     ProjLine,
     ProjMap,
@@ -35,8 +36,15 @@ def test_exact_point_past_the_float_range_equals_a_float_one():
 
 @pytest.mark.parametrize("coords", [(math.nan, 1, 0), (1, complex(0, math.nan), 1)])
 def test_nan_coordinates_rejected(coords):
-    with pytest.raises(InvalidInput, match="NaN"):
-        ProjPoint(*coords)
+    # a point, a line, a map with the triple as a row, a Mobius map
+    for build in (
+        lambda: ProjPoint(*coords),
+        lambda: ProjLine(*coords),
+        lambda: ProjMap((coords, (0, 1, 0), (0, 0, 1))),
+        lambda: MobiusMap(coords + (1,)),
+    ):
+        with pytest.raises(InvalidInput, match="NaN"):
+            build()
 
 
 def test_zero_triple_rejected():

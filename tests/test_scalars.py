@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cubica.errors import InvalidInput, ZeroLeadingCoefficient
+from cubica.projective import ProjPoint
 from cubica.scalars import (
     is_exact,
     parse_scalar,
@@ -136,3 +137,14 @@ def test_unit_floats_of_floating_and_mixed_values():
     for values, want in (([1, 0.5, Fraction(1, 4)], [1.0, 0.5, 0.25]), ([Fraction(2), -0.5], [1.0, -0.25])):
         got = unit_floats(values)
         assert got == want and all(type(v) is float for v in got)
+
+
+def test_unit_floats_of_mixed_values_past_the_float_range():
+    # an exact largest entry past the float range divides the others
+    # exactly, a complex one part by part
+    top = Fraction(2 * 10 ** 400)
+    got = unit_floats([2 * 10 ** 400, 1e300, complex(-1e300, 0.5), Fraction(-(10 ** 400), 3)])
+    assert got == [1.0, float(Fraction(1e300) / top), complex(float(Fraction(-1e300) / top), 0.0), -1 / 6]
+    # as for the all-exact (10^400 : 1 : 1), instead of an OverflowError
+    assert ProjPoint(10 ** 400, 0.5, 1) == ProjPoint(1.0, 0, 0)
+    assert ProjPoint(10 ** 400, 0.5, 1) != ProjPoint(0.0, 1.0, 0.0)

@@ -6,7 +6,9 @@ six singular families move under integer maps, exact and rounded to
 floats.  Each form is checked against what its construction says: a
 pencil member is smooth, a singular family has known singular points,
 which the map carries along.  In the two lower bands, to_standard at the
-first flex must keep the member's J at scales 10^+-6 and 10^+-100.
+first flex must keep the member's J at scales 10^+-6 and 10^+-100, and at
+all five scales to_hesse must keep J and classify_real must give a real
+member its own k, J, components and signs of a and b.
 """
 import random
 
@@ -17,6 +19,7 @@ from cubica.cubic import MONOMIALS, CubicForm, find_flexes, is_smooth, singular_
 from cubica.errors import SingularCurve
 from cubica.hesse import hesse_form, j_of_k, to_hesse
 from cubica.projective import ProjMap
+from cubica.real_curves import classify_real
 from cubica.standard import j_invariant, to_standard
 
 BANDS = ((1, 10), (10, 100), (100, 1000))
@@ -71,6 +74,34 @@ def test_sweep_to_standard_keeps_j(band):
         curve, _ = to_standard(form, find_flexes(form)[0])
         want = complex(j_of_k(k))
         assert abs(complex(j_invariant(curve)) - want) <= tol * max(1.0, abs(want)), (k, form)
+
+
+def _close(got, want, tol):
+    return abs(complex(got) - complex(want)) <= tol * max(1.0, abs(want))
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+@pytest.mark.parametrize("band", BANDS[:2], ids=lambda b: f"{b[0]}-{b[1]}")
+def test_sweep_to_hesse_keeps_j(band):
+    tol = 1e-10 * band[1] ** 2
+    for k, _, form in _smooth_forms(*band):
+        assert _close(j_of_k(to_hesse(form)[0]), j_of_k(k), tol), (k, form)
+
+
+@pytest.mark.parametrize("band", BANDS[:2], ids=lambda b: f"{b[0]}-{b[1]}")
+def test_sweep_classify_real_gives_the_members_own_k(band):
+    # on x^3 + y^3 + z^3 - 3k xyz the invariants are sigma = 972 k (k^3 + 8)
+    # and tau = 34992 (k^6 - 20 k^3 - 8), on y^2 = x^3 + ax + b -576 a and
+    # 41472 b, and a real map or scale keeps their signs
+    tol = 1e-10 * band[1] ** 2
+    for k, _, form in (t for t in _smooth_forms(*band) if not isinstance(t[0], complex)):
+        rc = classify_real(form)
+        assert _close(rc.k, k, tol) and _close(rc.J, j_of_k(k), tol), (k, form)
+        assert rc.components == (1 if k < 1 else 2), (k, form)
+        assert (rc.sign_a, rc.sign_b) == (-_sign(k * (k ** 3 + 8)), _sign(k ** 6 - 20 * k ** 3 - 8)), (k, form)
 
 
 def _integer_maps(count=50):

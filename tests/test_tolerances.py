@@ -153,7 +153,7 @@ _MODULES = ("projective", "cubic", "standard", "group_law", "hesse", "real_curve
 # the literals left there: Newton stop rules, division guards,
 # the finite-difference step and anchors of hesse.parameters_for_j and
 # real_parameters_for_j, and the geometry of the canonical picture
-_LOCAL_LITERALS = 32
+_LOCAL_LITERALS = 31
 
 
 def _threshold_literals(module):
