@@ -600,14 +600,21 @@ def _representative(form: CubicForm):
     them: its integer representative on exact input, so that its Hessian
     expands exactly, and on floats scaled exactly, by a power of two, to
     largest magnitude in [1/2, 1), so that its Hessian and invariants
-    neither overflow nor underflow."""
+    neither overflow nor underflow.  Exact coefficients of a float form are
+    scaled exactly and rounded once, so they may lie past the float range."""
     if form.is_exact:
         return _integral(form.coeffs)[0]
-    e = -math.frexp(max(map(abs, form.coeffs)))[1]
-    return [
-        complex(math.ldexp(v.real, e), math.ldexp(v.imag, e)) if isinstance(v, complex) else math.ldexp(v, e)
-        for v in form.coeffs
-    ]
+    top = max(map(abs, form.coeffs))
+    if is_exact(top):
+        e = top.numerator.bit_length() - top.denominator.bit_length()
+        e = -(e + (top >= Fraction(2) ** e))
+    else:
+        e = -math.frexp(top)[1]
+
+    def scaled(v):
+        return float(v * Fraction(2) ** e) if is_exact(v) else math.ldexp(v, e)
+
+    return [complex(scaled(v.real), scaled(v.imag)) if isinstance(v, complex) else scaled(v) for v in form.coeffs]
 
 
 def _smooth_coefficients(form: CubicForm):

@@ -6,6 +6,15 @@ invariant J(k), the involution eta and the 12-element Mobius group whose
 orbits are exactly the parameter fibers of J, and the reduction of an
 arbitrary smooth cubic into the pencil.
 
+Both groups and the inversion of J are written in closed form (Artebani and
+Dolgachev, "The Hesse pencil of plane cubic curves", 2009).  The 9
+translations are D^a C^b, D = diag(1, omega, omega^2) and C the cyclic
+permutation of the coordinates, and the 18 symmetries add their products
+with a swap of two coordinates.  The rotation r: k -> omega k and eta
+generate the Mobius group as A4 = <r> + <r> eta <r>.  J = g^3 with
+g = k(k^3+8) / (4(k^3-1)), so the k over a J value are the roots of the
+three quartics k^4 - 4 gamma k^3 + 8k + 4 gamma, gamma a cube root of J.
+
 The symbol for the parameter at infinity is math.inf (the member xyz=0).
 """
 from __future__ import annotations
@@ -24,6 +33,8 @@ from .scalars import (
 )
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
+#: the cube roots of unity omega^0, omega^1, omega^2, the first exact
+_ROOTS = (1, _OMEGA, _OMEGA.conjugate())
 
 
 def _is_infinite(k) -> bool:
@@ -54,13 +65,12 @@ def exceptional_points() -> list[ProjPoint]:
     These are the flexes of every smooth member.  The g=1 representatives
     are exact integer points.
     """
-    roots = (1, _OMEGA, _OMEGA.conjugate())
     pts = []
-    for g in roots:
+    for g in _ROOTS:
         pts.append(ProjPoint(0, 1, -g))
-    for g in roots:
+    for g in _ROOTS:
         pts.append(ProjPoint(-g, 0, 1))
-    for g in roots:
+    for g in _ROOTS:
         pts.append(ProjPoint(1, -g, 0))
     return pts
 
@@ -70,31 +80,17 @@ def exceptional_points() -> list[ProjPoint]:
 # ---------------------------------------------------------------------------
 
 
-def _closure(generators, limit):
-    group = [ProjMap.identity()]
-    frontier = list(group)
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in generators:
-                cand = g.compose(m)
-                if all(cand != h for h in group):
-                    group.append(cand)
-                    new.append(cand)
-                    if len(group) > limit:
-                        raise ConvergenceFailure("group closure exceeded bound")
-        frontier = new
-    return group
-
-
 def translation_subgroup() -> list[ProjMap]:
-    """The 9 maps acting simply transitively on the base points."""
-    cyc = ProjMap(((0, 0, 1), (1, 0, 0), (0, 1, 0)))
-    diag = ProjMap(((1, 0, 0), (0, _OMEGA, 0), (0, 0, _OMEGA.conjugate())))
-    group = _closure((cyc, diag), 9)
-    if len(group) != 9:
-        raise ConvergenceFailure("translation subgroup closure failed")
-    return group
+    """The 9 maps acting simply transitively on the base points: D^a C^b
+    for a, b in {0, 1, 2}, with D = diag(1, omega, omega^2) and C the cyclic
+    permutation (x:y:z) -> (z:x:y), so that row i of D^a C^b holds
+    omega^(a i) in column i - b.  The identity comes first.
+    """
+    return [
+        ProjMap(tuple(tuple(_ROOTS[a * i % 3] if j == (i - b) % 3 else 0 for j in range(3)) for i in range(3)))
+        for a in range(3)
+        for b in range(3)
+    ]
 
 
 def symmetry_group() -> list[ProjMap]:
@@ -136,24 +132,6 @@ def j_of_k(k):
     return val
 
 
-def eta(k):
-    """The involution k -> (k+2)/(k-1); fixes J, swaps 1 and infinity."""
-    if _is_infinite(k):
-        return 1
-    if is_exact(k):
-        if k == 1:
-            return math.inf
-        val = (Fraction(k) + 2) / (Fraction(k) - 1)
-        return collapse(val)
-    kc = complex(k)
-    if kc == 1:
-        return math.inf
-    val = (kc + 2) / (kc - 1)
-    if not isinstance(k, complex):
-        return val.real
-    return val
-
-
 # ---------------------------------------------------------------------------
 # the tetrahedral parameter group
 # ---------------------------------------------------------------------------
@@ -178,10 +156,14 @@ class MobiusMap:
         object.__setattr__(self, "entries", e)
 
     def apply(self, k):
+        """The image of k, math.inf at the pole: exact when k and every
+        entry are exact, a float when they are real, complex otherwise."""
         a, b, c, d = self.entries
         if all_exact(self.entries) and is_exact(k):
             den = c * Fraction(k) + d
             return math.inf if den == 0 else collapse((a * Fraction(k) + b) / den)
+        if not any(isinstance(v, complex) for v in self.entries + (k,)):
+            return self.apply(complex(k)).real
         a, b, c, d = (complex(v) for v in self.entries)
         if _is_infinite(k):
             if negligible(c, max(abs(a), abs(d), 1.0), LEADING_DROP):
@@ -212,38 +194,24 @@ class MobiusMap:
         return f"MobiusMap({self.entries!r})"
 
 
-def _eta_realization() -> ProjMap:
-    g = _OMEGA
-    return ProjMap(((1, 1, 1), (1, g, g.conjugate()), (1, g.conjugate(), g)))
+#: r^a for a = 0, 1, 2: the rotation k -> omega^a k paired with the map
+#: diag(omega^-a, 1, 1) that realizes it
+_ROTATIONS = [(MobiusMap((w, 0, 0, 1)), ProjMap.scaling(w.conjugate(), 1, 1)) for w in _ROOTS]
+_ETA = (MobiusMap((1, 2, 1, -1)), ProjMap(((1, 1, 1), (1, _OMEGA, _ROOTS[2]), (1, _ROOTS[2], _OMEGA))))
+
+#: The 12 Mobius maps paired with projective maps realizing them:
+#: transform(hesse_form(k), P) is proportional to hesse_form(mu(k)), and
+#: transform realizes products factor by factor.  The rotation r and the
+#: involution eta generate the group as A4 = <r> + <r> eta <r>: the pairs
+#: r^a, then r^a eta r^b, for a, b in {0, 1, 2}; the identity comes first.
+_TETRAHEDRAL_PAIRS = tuple(_ROTATIONS + [
+    (m.compose(_ETA[0]).compose(n), p.compose(_ETA[1]).compose(q)) for m, p in _ROTATIONS for n, q in _ROTATIONS
+])
 
 
-def _tetrahedral_pairs():
-    """The 12 Mobius maps paired with projective maps realizing them:
-    transform(hesse_form(k), P) is proportional to hesse_form(mu(k))."""
-    gens = [
-        (MobiusMap((1, 2, 1, -1)), _eta_realization()),
-        (
-            MobiusMap((_OMEGA, 0, 0, 1)),
-            ProjMap(((_OMEGA.conjugate(), 0, 0), (0, 1, 0), (0, 0, 1))),
-        ),
-    ]
-    pairs = [(MobiusMap((1, 0, 0, 1)), ProjMap.identity())]
-    frontier = list(pairs)
-    while frontier:
-        new = []
-        for (m, p) in frontier:
-            for (gm, gp) in gens:
-                cm = gm.compose(m)
-                cp = gp.compose(p)
-                if all(cm != hm for hm, _ in pairs):
-                    pairs.append((cm, cp))
-                    new.append((cm, cp))
-                    if len(pairs) > 12:
-                        raise ConvergenceFailure("tetrahedral closure exceeded 12")
-        frontier = new
-    if len(pairs) != 12:
-        raise ConvergenceFailure("tetrahedral group closure failed")
-    return pairs
+def eta(k):
+    """The involution k -> (k+2)/(k-1); fixes J, swaps 1 and infinity."""
+    return _ETA[0].apply(k)
 
 
 def tetrahedral_group() -> list[MobiusMap]:
@@ -251,12 +219,12 @@ def tetrahedral_group() -> list[MobiusMap]:
     two parameters give projectively equivalent members exactly when one is
     carried to the other by this group.
     """
-    return [m for m, _ in _tetrahedral_pairs()]
+    return [m for m, _ in _TETRAHEDRAL_PAIRS]
 
 
 def hesse_orbit(k) -> list:
     """The 12 images of k under the tetrahedral group, with multiplicity."""
-    return [m.apply(k) for m in tetrahedral_group()]
+    return [m.apply(k) for m, _ in _TETRAHEDRAL_PAIRS]
 
 
 # ---------------------------------------------------------------------------
@@ -264,80 +232,49 @@ def hesse_orbit(k) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _j_quartic_roots(j0: complex):
-    """Roots u of u(u+8)^3 = 64 J0 (u-1)^3, i.e. candidates for k^3."""
-    coeffs = [
-        1.0,
-        24.0 - 64.0 * j0,
-        192.0 + 192.0 * j0,
-        512.0 - 192.0 * j0,
-        64.0 * j0,
-    ]
-    roots = poly_roots(coeffs)
-
-    def q(u):
-        return u * (u + 8) ** 3 - 64 * j0 * (u - 1) ** 3
-
-    def dq(u):
-        return (u + 8) ** 3 + 3 * u * (u + 8) ** 2 - 192 * j0 * (u - 1) ** 2
-
-    out = []
-    for r in roots:
-        u = complex(r)
-        for _ in range(2):
-            d = dq(u)
-            if abs(d) < 1e-8:
-                break
-            u = u - q(u) / d
-        out.append(u)
-    return out
+def _j_quartic_roots(j0, w=1):
+    """The k with g(k) = k(k^3+8) / (4(k^3-1)) = gamma, gamma = w times the
+    cube root of j0 that _cube_root gives: the roots of k^4 - 4 gamma k^3 +
+    8k + 4 gamma, whose exact leading 1 poly_roots never drops.  A NaN j0 is
+    InvalidInput, an infinite one, the J of singular members only,
+    SingularParameter."""
+    if has_nan([j0]):
+        raise InvalidInput("J cannot be NaN")
+    if _is_infinite(j0):
+        raise SingularParameter("J = infinity belongs to the singular members only")
+    gamma = w * _cube_root(j0)
+    return poly_roots((1, -4 * gamma, 0, 8, 4 * gamma))
 
 
 def parameters_for_j(j0) -> list[complex]:
-    """All 12 solutions k of J(k) = j0, with multiplicity."""
-    j0 = complex(j0)
-    ks = []
-    for u in _j_quartic_roots(j0):
-        base = u ** (1.0 / 3.0) if u != 0 else 0.0 + 0.0j
-        for mult in (1, _OMEGA, _OMEGA.conjugate()):
-            k = base * mult
-            # one polishing step on J itself where the derivative allows
-            for _ in range(2):
-                den = k ** 3 - 1
-                if abs(den) < 1e-9:
-                    break
-                f = (k * (k ** 3 + 8) / (4 * den)) ** 3 - j0
-                h = 1e-7 * max(1.0, abs(k))
-                df = (
-                    ((k + h) * ((k + h) ** 3 + 8) / (4 * ((k + h) ** 3 - 1))) ** 3
-                    - ((k - h) * ((k - h) ** 3 + 8) / (4 * ((k - h) ** 3 - 1))) ** 3
-                ) / (2 * h)
-                if abs(df) < 1e-6:
-                    break
-                k = k - f / df
-            ks.append(k)
-    return ks
+    """All 12 solutions k of J(k) = j0, with multiplicity.
+
+    J = g^3 with g(k) = k(k^3+8) / (4(k^3-1)), so J(k) = j0 exactly when
+    g(k) is one of the three cube roots gamma of j0: the roots of the three
+    quartics k^4 - 4 gamma k^3 + 8k + 4 gamma.
+    """
+    return [k for w in _ROOTS for k in _j_quartic_roots(j0, w)]
 
 
 def real_parameters_for_j(j0: float) -> list[float]:
-    """The real k != 1 with J(k) = j0, ascending.  Closed forms are used at
-    the two anchor values J=0 and J=1 where the generic solver loses
-    accuracy to root multiplicity."""
+    """The two real k with J(k) = j0, ascending; none when j0 is not real.
+
+    They are the real roots of the one real quartic, gamma the real cube
+    root of j0 (see parameters_for_j).  g falls from 1 to -inf both ways on
+    k < 1 and rises from 1 to +inf both ways on k > 1, so every real
+    gamma != 1 has exactly two real roots, taken as the two nearest the
+    real axis; k = 1 is never one, the quartic being 9 there.  Closed forms
+    are used at the two anchor values J=0 and J=1, where the quartic has
+    multiple roots: it is k(k^3 + 8) and (k^2 - 2k - 2)^2.
+    """
+    roots = _j_quartic_roots(j0)  # first, as it refuses a NaN or infinite j0
+    if complex(j0).imag:
+        return []
     if abs(j0) < 1e-13:
         return [-2.0, 0.0]
     if abs(j0 - 1.0) < 1e-13:
         return [1.0 - math.sqrt(3.0), 1.0 + math.sqrt(3.0)]
-    out = []
-    for k in parameters_for_j(j0):
-        if abs(k.imag) > 1e-7 * max(1.0, abs(k)):
-            continue
-        kr = k.real
-        if abs(kr - 1.0) < 1e-9:
-            continue
-        if all(abs(kr - o) > 1e-7 * max(1.0, abs(kr)) for o in out):
-            out.append(kr)
-    out.sort()
-    return out
+    return sorted(k.real for k in sorted(roots, key=lambda k: abs(k.imag))[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +379,7 @@ def to_hesse(form: CubicForm, canonical: bool = False):
     """
     k, a = form._pencil_map
     if canonical:
-        orbit = [(_without_dust(m.apply(k)), p) for m, p in _tetrahedral_pairs()]
+        orbit = [(_without_dust(m.apply(k)), p) for m, p in _TETRAHEDRAL_PAIRS]
         orbit = [(kk, p) for kk, p in orbit if not _is_infinite(kk)]
         least = min(abs(kk) for kk, _ in orbit)
         k, p = min(

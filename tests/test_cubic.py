@@ -707,6 +707,18 @@ def test_singular_point_past_the_float_range():
     assert pts == [ProjPoint(big, 1, -1)] and pts[0].is_exact
 
 
+def test_float_form_with_exact_coefficients_past_the_float_range():
+    # the Fermat cubic scaled by 10^400 with a float xyz term of 0.5, which
+    # rounds to 0 against 10^400: judged and solved as the float Fermat cubic
+    big = 10 ** 400
+    mixed = CubicForm((big, 0, 0, 0, 0.5, 0, big, 0, 0, big))
+    plain = CubicForm((1.0, 0, 0, 0, 0.0, 0, 1.0, 0, 0, 1.0))
+    assert is_smooth(mixed) and singular_points(mixed) == []
+    flexes, want = find_flexes(mixed), find_flexes(plain)
+    assert len(flexes) == 9
+    assert all(proj_distance(p, q) <= 1e-12 for p, q in zip(flexes, want))
+
+
 def test_restrict_to_line_degree():
     p, q = ProjPoint(1, 0, 0), ProjPoint(0, 1, 1)
     cs = restrict_to_line(FERMAT, p, q)

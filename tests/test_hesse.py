@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from cubica.cubic import CubicForm, find_flexes, transform
-from cubica.errors import SingularParameter
+from cubica.errors import InvalidInput, SingularParameter
 from cubica.hesse import (
+    _TETRAHEDRAL_PAIRS,
     eta,
     exceptional_points,
     hesse_form,
@@ -21,10 +22,12 @@ from cubica.hesse import (
     to_hesse,
     translation_subgroup,
 )
-from cubica.projective import ProjMap, proj_distance
+from cubica.projective import ProjMap, _flat_proportional, proj_distance
 from cubica.standard import StandardCurve, to_standard
 
 GAMMA = cmath.exp(2j * cmath.pi / 3)
+# a parameter with no symmetry of its own, off the real line
+GENERIC_K = 0.3 + 0.2j
 
 
 def test_hesse_form_coefficients():
@@ -55,26 +58,37 @@ def test_exceptional_points_on_every_member():
             assert abs(v) < 1e-12
 
 
+def _index(points, q):
+    """The one index of points within 1e-9 of q."""
+    near = [i for i, p in enumerate(points) if proj_distance(p, q) < 1e-9]
+    assert len(near) == 1
+    return near[0]
+
+
 def test_translation_subgroup_order_nine():
     ts = translation_subgroup()
     assert len(ts) == 9
     pts = exceptional_points()
-    # each translation permutes the nine base points
-    for m in ts:
-        for p in pts:
-            q = m.apply(p)
-            assert any(proj_distance(q, e) < 1e-9 for e in pts)
+    # simply transitive on the nine base points: the images of each point
+    # under the nine translations are the nine points, each once
+    for p in pts:
+        assert sorted(_index(pts, m.apply(p)) for m in ts) == list(range(9))
 
 
 def test_symmetry_group_order_eighteen():
     g = symmetry_group()
     assert len(g) == 18
-    f = hesse_form(Fraction(5, 3))
+    assert all(sum(m == n for n in g) == 1 for m in g)
+    # a group: closed under products and inverses
     for m in g:
-        img = transform(f, m)
-        from cubica.projective import _flat_proportional
-
-        assert _flat_proportional(img.coeffs, f.coeffs, 1e-9)
+        assert any(m.inverse() == n for n in g)
+        for n in g:
+            assert any(m.compose(n) == h for h in g)
+    for k in (Fraction(5, 3), GENERIC_K):
+        f = hesse_form(k)
+        for m in g:
+            img = transform(f, m)
+            assert _flat_proportional(img.coeffs, f.coeffs, 1e-9)
 
 
 def test_j_of_k_frozen_values():
@@ -106,8 +120,38 @@ def test_eta_invariance():
         assert abs(j1 - j2) <= 1e-9 * max(1.0, abs(j1))
 
 
+def _same_parameters(ks, ls, tol):
+    """Whether two lists of parameters are one multiset, to tol relative."""
+    ls = list(ls)
+    for k in ks:
+        near = [i for i, v in enumerate(ls) if (k == v == math.inf) or (
+            math.inf not in (k, v) and abs(complex(k) - complex(v)) <= tol * max(1.0, abs(k)))]
+        if not near:
+            return False
+        ls.pop(near[0])
+    return not ls
+
+
 def test_tetrahedral_group_order_twelve():
-    assert len(tetrahedral_group()) == 12
+    group = tetrahedral_group()
+    assert len(group) == 12
+    assert all(sum(m == n for n in group) == 1 for m in group)
+    for m in group:
+        for n in group:
+            assert any(m.compose(n) == h for h in group)
+    # each map permutes the singular parameters
+    singular = [1, GAMMA, GAMMA.conjugate(), math.inf]
+    for m in group:
+        assert _same_parameters([m.apply(k) for k in singular], singular, 1e-12)
+
+
+def test_tetrahedral_realizations():
+    # transform is an independent oracle: P carries the member at k onto
+    # the member at mu(k)
+    assert len(_TETRAHEDRAL_PAIRS) == 12
+    for m, p in _TETRAHEDRAL_PAIRS:
+        img = transform(hesse_form(GENERIC_K), p)
+        assert _flat_proportional(img.coeffs, hesse_form(m.apply(GENERIC_K)).coeffs, 1e-12)
 
 
 def test_orbit_product_recovers_j():
@@ -122,11 +166,14 @@ def test_orbit_product_recovers_j():
 
 
 def test_parameters_for_j_inverts():
-    j0 = 0.3 + 0.8j
-    ks = parameters_for_j(j0)
-    assert len(ks) == 12
-    for k in ks:
-        assert abs(complex(j_of_k(k)) - j0) < 1e-7
+    # 1e12 (1 + i) lost three of its 12 to a dropped leading coefficient
+    for j0 in (0.3 + 0.8j, 1e12 * (1 + 1j), 1e-10j):
+        ks = parameters_for_j(j0)
+        assert len(ks) == 12
+        for k in ks:
+            assert abs(j_of_k(k) - j0) <= 1e-10 * max(1.0, abs(j0))
+        # the whole fiber: the orbit of any one solution
+        assert _same_parameters(ks, hesse_orbit(ks[0]), 1e-6)
 
 
 def test_real_parameters_for_j_anchors():
@@ -136,12 +183,47 @@ def test_real_parameters_for_j_anchors():
     assert abs(hi - (1 + math.sqrt(3))) < 1e-9
 
 
+def _j_prime(k):
+    """dJ/dk = 3 g^2 (k^6 - 20k^3 - 8) / (4(k^3 - 1)^2), g^3 = J."""
+    u = k ** 3
+    g = k * (u + 8) / (4 * (u - 1))
+    return 3 * g * g * (u * u - 20 * u - 8) / (4 * (u - 1) ** 2)
+
+
+@pytest.mark.parametrize("j0", [-3.0, -1e-6, 1e-8, 0.5, 7.0, 1e6, 1e12, 1e20])
+def test_real_parameters_for_j_against_exact_j(j0):
+    # forward error |J(k) - j0| / |J'(k)|, all in Fractions; at 1e12 and
+    # 1e20 one and none of the two came back when the leading coefficient
+    # was dropped
+    ks = real_parameters_for_j(j0)
+    assert len(ks) == 2
+    for k in ks:
+        kf = Fraction(k)
+        error = abs((j_of_k(kf) - Fraction(j0)) / _j_prime(kf))
+        assert error <= 1e-13 * max(1.0, abs(k))
+
+
+@pytest.mark.parametrize("j0, error", [
+    (math.nan, InvalidInput), (complex(math.nan, 1.0), InvalidInput),
+    (math.inf, SingularParameter), (-math.inf, SingularParameter), (complex(1.0, math.inf), SingularParameter),
+])
+def test_j_inversion_error_classes(j0, error):
+    # only the singular members have J = infinity, as j_of_k says
+    with pytest.raises(error):
+        parameters_for_j(j0)
+    with pytest.raises(error):
+        real_parameters_for_j(j0)
+
+
 def test_real_parameters_always_two():
-    for j0 in (-3.0, 0.5, 0.99, 1.01, 7.0, 200.0):
+    near_one = [1 + s * 10.0 ** -e for e in range(4, 13) for s in (1, -1)]
+    for j0 in [-3.0, 0.5, 0.99, 1.01, 7.0, 200.0] + near_one:
         ks = real_parameters_for_j(j0)
         assert len(ks) == 2
         inside = sum(1 - math.sqrt(3) < k < 1 + math.sqrt(3) for k in ks)
         assert inside == 1
+        for k in ks:
+            assert abs(j_of_k(Fraction(k)) - Fraction(j0)) <= 1e-14 * max(1.0, abs(j0))
 
 
 # pencil members under maps of condition number 48-52, where flexes
@@ -164,8 +246,6 @@ INTEGER_MAP = ((2, 1, 0), (0, 1, -1), (1, 0, 3))
 
 
 def test_to_hesse_recovers_member():
-    from cubica.projective import _flat_proportional
-
     for k0, rows in ((1.8, INTEGER_MAP), (0.7 + 1.1j, INTEGER_MAP)) + ILL_CONDITIONED:
         moved = transform(hesse_form(k0), ProjMap(rows))
         k, m = to_hesse(moved)

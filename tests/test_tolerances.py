@@ -150,10 +150,10 @@ def test_proportional_and_real_sites_agree(delta, close):
 
 # the algebra modules but scalars.py, which holds the named thresholds
 _MODULES = ("projective", "cubic", "standard", "group_law", "hesse", "real_curves")
-# the literals left there: Newton stop rules, division guards,
-# the finite-difference step and anchors of hesse.parameters_for_j and
-# real_parameters_for_j, and the geometry of the canonical picture
-_LOCAL_LITERALS = 31
+# the literals left there: Newton stop rules, division guards, the J = 0
+# and J = 1 anchors of hesse.real_parameters_for_j, and the geometry of the
+# canonical picture
+_LOCAL_LITERALS = 24
 
 
 def _threshold_literals(module):
