@@ -17,9 +17,10 @@ from .errors import (
     InvalidCanvas,
     InvalidInput,
     SingularCurve,
+    SingularParameter,
 )
 from .group_law import BasedGroup, add, chord_tangent, curve_point, multiply
-from .hesse import hesse_form, hesse_orbit, j_of_k, to_hesse
+from .hesse import hesse_form, hesse_orbit, is_smooth_parameter, j_of_k, to_hesse
 from .lattice import Lattice, lattice_to_curve, torus_symmetry_order
 from .real_curves import classify_real, cross_ratio_chi
 from .render import RenderSpec, render
@@ -237,6 +238,9 @@ def _cmd_hesse_j(args):
 
 def _cmd_hesse_orbit(args):
     k = _parse_k(args.k)
+    if not is_smooth_parameter(k):
+        # the orbit of a singular member holds infinity, and its product is not a number
+        raise SingularParameter(f"k={args.k} gives a singular member")
     orbit = [_collapse_real(v) for v in hesse_orbit(k)]
     prod = 1
     for v in orbit:

@@ -11,6 +11,7 @@ is always floating.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,14 +32,15 @@ from .projective import (
 )
 from .scalars import (
     COINCIDENCE, FLEX_CONTACT, FLEX_DERIVED, FLEX_SEPARATION, LEADING_DROP, PIVOT_TIE, ROUNDING, SINGULAR_RANK,
-    _integral, all_exact, has_nan, is_exact, negligible, poly_roots, scalar_from_json, scalar_to_json, unit_floats,
+    _integral, _newton_step, all_exact, has_nan, is_exact, negligible, scalar_from_json, scalar_to_json, unit_floats,
 )
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
     (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
 )
-_MONO_INDEX = {m: i for i, m in enumerate(MONOMIALS)}
+#: the cube roots of unity omega^0, omega^1, omega^2, the first exact
+_ROOTS = (1, complex(-0.5, math.sqrt(3.0) / 2.0), complex(-0.5, -math.sqrt(3.0) / 2.0))
 
 # ---------------------------------------------------------------------------
 # dense polynomial kernel: a linear form is its 3 coefficients of x, y, z and
@@ -137,9 +139,6 @@ class CubicForm:
 
     def as_dict(self):
         return {m: c for m, c in zip(MONOMIALS, self.coeffs) if c != 0}
-
-    def coeff(self, i: int, j: int, k: int):
-        return self.coeffs[_MONO_INDEX[(i, j, k)]]
 
     def evaluate(self, point):
         """Value at a point (ProjPoint or coordinate triple)."""
@@ -244,10 +243,10 @@ class CubicForm:
 
 
 def _float_form(form: CubicForm) -> CubicForm:
-    """The form with floating coefficients: an exact one as unit_floats
-    gives it, whatever the height of its coefficients; a floating one as it
-    is."""
-    return CubicForm(unit_floats(form.coeffs)) if form.is_exact else form
+    """The form with floating coefficients: one with an exact coefficient
+    as unit_floats gives it, whatever the height of its coefficients; an
+    all-floating one as it is."""
+    return CubicForm(unit_floats(form.coeffs)) if any(map(is_exact, form.coeffs)) else form
 
 
 def evaluate_grid(form: CubicForm, x, y, z):
@@ -651,6 +650,29 @@ def _smooth_coefficients(form: CubicForm):
     return c, hc, sigma, tau
 
 
+def _triangle_parameters(sigma, tau):
+    """The four u for which u f + h is a triangle of the pencil <f, h> of a
+    smooth cubic f with invariants sigma and tau (see _pencil_triangles):
+    the roots of u^4 - 2 sigma u^2 - (4 tau / 3) u - sigma^2 / 3, each
+    polished by one Newton step.  By Ferrari the quartic is (u^2 + m)^2 -
+    2 half (u + tau / (3 half))^2, half = m + sigma, for any m with
+    half - 2 sigma / 3 a cube root of (6 tau^2 - 8 sigma^3) / 27, which is
+    nonzero on a smooth curve; the cube root farthest from making half
+    vanish is taken."""
+    quartic = (1, 0, -2 * sigma, -4 * tau / 3, -sigma ** 2 / 3)
+    cube = complex((6 * tau ** 2 - 8 * sigma ** 3) / 27) ** (1 / 3)
+    half = max((cube * w + 2 * sigma / 3 for w in _ROOTS), key=abs)
+    m, s = half - sigma, cmath.sqrt(2 * half)
+    e = 2 * tau / (3 * s)  # s tau / (3 half), as s^2 = 2 half
+    roots = []
+    for b, c in ((-s, m - e), (s, m + e)):
+        # u^2 + b u + c without cancellation: the larger root, then c over it
+        d = cmath.sqrt(b * b - 4 * c)
+        w = -(b + d if (b.conjugate() * d).real >= 0 else b - d) / 2
+        roots += [w, c / w if w else w]
+    return [_newton_step(quartic, u) for u in roots]
+
+
 def _pencil_triangles(c, hc, sigma, tau):
     """The triangles of the pencil <f, h> spanned by the smooth cubic f and
     its Hessian h, with coefficients c and hc and invariants sigma and tau
@@ -667,7 +689,9 @@ def _pencil_triangles(c, hc, sigma, tau):
 
         (sigma^2 / 3) t^4 + (4 tau / 3) t^3 + 2 sigma t^2 - 1.
 
-    A root lost to a degree drop is the member h itself.  hc is expanded
+    Each is written as the member u f + h, u = 1/t, for the four roots u of
+    the reversed quartic, which _triangle_parameters takes in closed form;
+    when sigma = 0, u = 0 is the member h itself.  hc is expanded
     once, exactly on the integer representative of exact input: in floats,
     cancellation can cost an ill-conditioned form most of its digits.
 
@@ -677,7 +701,7 @@ def _pencil_triangles(c, hc, sigma, tau):
     matrices and one Newton step, and the members' gradients there are
     their sides.  Triangles go best conditioned first; two whose condition
     numbers agree to 1e-9, as the complex-conjugate pair of a real curve
-    does, go in order of decreasing imaginary part of their t.  The nine
+    does, go in order of increasing imaginary part of their u.  The nine
     meets of the sides of two triangles, polished together by Newton on
     f = 0 and h = 0 (_polish_flexes), are the flexes, taken from the first
     pair whose meets polish to nine distinct points; each is normalized
@@ -710,8 +734,8 @@ def _pencil_triangles(c, hc, sigma, tau):
             hv, gh = _hessian_det(tf, m)
             return fv, gf, hv / h_scale, gh / h_scale
 
-    roots = poly_roots((sigma ** 2 / 3, 4 * tau / 3, 2 * sigma, 0, -1))
-    members = np.array([(1, t) if abs(t) <= 1 else (1 / t, 1) for t in roots] + [(0, 1)] * (4 - len(roots)))
+    roots = _triangle_parameters(sigma, tau)
+    members = np.array([(u, 1) for u in roots])
     # each member's restriction c0 + c1 s + c2 s^2 + c3 s^3 to the split
     # line, s -> p + s q, is the same combination of f's and h's; its roots
     # are the eigenvalues of its companion matrix, each polished by one
@@ -729,8 +753,8 @@ def _pencil_triangles(c, hc, sigma, tau):
     sides /= np.linalg.norm(sides, axis=-1, keepdims=True)
     cond = np.abs(np.linalg.det(sides))
     # best conditioned first; conditions equal to 1e-9, as those of the
-    # conjugate pair of a real curve are, go by decreasing Im t
-    tie = [-t.imag for t in roots] + [0.0] * (4 - len(roots))
+    # conjugate pair of a real curve are, go by increasing Im u
+    tie = [u.imag for u in roots]
     split = sides[[i for i in np.lexsort((tie, -cond.round(9))) if cond[i] > 1e-9]]
     # a split point near a vertex spoils its sides, so take the first pair
     # of triangles whose nine meets polish to nine distinct flexes

@@ -16,7 +16,6 @@ from operator import mul
 
 from .cubic import (
     CubicForm,
-    _line_second_point,
     _match_standard_pattern,
     find_flexes,
     is_flex,
@@ -27,22 +26,22 @@ from .errors import (
     NonFlexBase,
     SingularCurve,
 )
-from .projective import ProjPoint, _flat_proportional, _normalize
-from .scalars import CHORD_ZERO, COINCIDENCE, ROUNDING, TOLERANCE, _integral, negligible, unit_floats
+from .projective import ProjPoint, _cross, _flat_proportional, _normalize
+from .scalars import CHORD_ZERO, COINCIDENCE, ROUNDING, TOLERANCE, _integral, negligible
 
 
 def _project_to_curve(form: CubicForm, coords):
-    """Two least-norm Newton steps pulling a nearby point onto the curve,
-    which is first scaled to largest coordinate 1, so that the steps see
-    the residual and gradient of the point itself, whatever its size."""
-    v = unit_floats(coords)
+    """Two least-norm Newton steps pulling a nearby floating point onto the
+    curve, which is first scaled to largest coordinate 1, so that the steps
+    see the residual and gradient of the point itself, whatever its size."""
+    top = max(map(abs, coords))
+    v = [c / top for c in coords]
     for _ in range(2):
-        val = complex(form.evaluate(v))
-        g = [complex(x) for x in form.gradient(v)]
-        nrm = sum(abs(x) ** 2 for x in g)
+        g = form.gradient(v)
+        nrm = abs(g[0]) ** 2 + abs(g[1]) ** 2 + abs(g[2]) ** 2
         if nrm < 1e-30:
             break
-        step = -val / nrm
+        step = -form.evaluate(v) / nrm
         v = [a + step * x.conjugate() for a, x in zip(v, g)]
     return tuple(v)
 
@@ -56,7 +55,10 @@ class CurvePoint:
     point: ProjPoint
 
     def __post_init__(self):
-        pt = self.point.normalized()
+        self._settle(self.point.normalized())
+
+    def _settle(self, pt: ProjPoint):
+        """Keep the normalized point pt, once it is checked to lie on the curve."""
         object.__setattr__(self, "point", pt)
         object.__setattr__(self, "is_exact", self.curve.is_exact and pt.is_exact)
         val = self.curve.evaluate(pt.coords)
@@ -79,6 +81,15 @@ def curve_point(curve: CubicForm, coords) -> CurvePoint:
 
 def affine_point(curve: CubicForm, x, y) -> CurvePoint:
     return CurvePoint(curve, ProjPoint(x, y, 1))
+
+
+def _normal_point(curve: CubicForm, coords) -> CurvePoint:
+    """curve_point of a triple already in normal form, as _chord returns
+    it, which is kept as it is rather than normalized again."""
+    cp = object.__new__(CurvePoint)
+    object.__setattr__(cp, "curve", curve)
+    cp._settle(ProjPoint(*coords))
+    return cp
 
 
 def _same_curve(p: CurvePoint, q: CurvePoint):
@@ -127,7 +138,12 @@ def _chord(data: _CurveData, p, q, tangent=None):
         g = form.gradient(p)
         if all(negligible(v, data.scale, ROUNDING) for v in g):
             raise SingularCurve("gradient vanishes; no tangent line")
-        q = _line_second_point(_normalize(g), p)
+        if not exact:
+            top = max(map(abs, g))
+            g = [v / top for v in g]
+        # g . q = det(g, g, conj p) = 0 puts q on the tangent, and q is
+        # Hermitian-orthogonal to p, so never p; integral on exact input
+        q = _cross(g, p if exact else [c.conjugate() for c in p])
     a, b = _restriction(form, p, q, tangent)
     # |F| is termwise at most scale (x + y + z)^3, so a size is at most
     # 3 scale m^3, m the larger of sum |p_i| and sum |q_i|: most floating
@@ -148,7 +164,7 @@ def chord_tangent(p: CurvePoint, q: CurvePoint) -> CurvePoint:
     """The third intersection p*q of the line through p and q (the tangent
     at p when p = q) with the curve."""
     _same_curve(p, q)
-    return curve_point(p.curve, _chord(_CurveData(p.curve), p.point.coords, q.point.coords))
+    return _normal_point(p.curve, _chord(_CurveData(p.curve), p.point.coords, q.point.coords))
 
 
 class BasedGroup:
@@ -160,7 +176,7 @@ class BasedGroup:
         elif base.curve != curve:
             raise InvalidInput("base point lies on a different curve")
         self.curve, self.base, self._data, self._o = curve, base, _CurveData(curve), base.point.coords
-        self.double_base = curve_point(curve, _chord(self._data, self._o, self._o, True))
+        self.double_base = _normal_point(curve, _chord(self._data, self._o, self._o, True))
 
     def is_flex_based(self) -> bool:
         return is_flex(self.curve, self.base.point)
@@ -182,12 +198,12 @@ def flex_based_group(curve: CubicForm) -> BasedGroup:
 def add(g: BasedGroup, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     _same_curve(p, q)
     _same_curve(p, g.base)
-    return curve_point(g.curve, _chord(g._data, _chord(g._data, p.point.coords, q.point.coords), g._o))
+    return _normal_point(g.curve, _chord(g._data, _chord(g._data, p.point.coords, q.point.coords), g._o))
 
 
 def negate(g: BasedGroup, p: CurvePoint) -> CurvePoint:
     _same_curve(p, g.base)
-    return curve_point(g.curve, _chord(g._data, g.double_base.point.coords, p.point.coords))
+    return _normal_point(g.curve, _chord(g._data, g.double_base.point.coords, p.point.coords))
 
 
 def multiply(g: BasedGroup, n: int, p: CurvePoint) -> CurvePoint:
@@ -208,7 +224,7 @@ def multiply(g: BasedGroup, n: int, p: CurvePoint) -> CurvePoint:
             run = _chord(data, _chord(data, run, run, True), o)
     if n < 0:
         acc = _chord(data, g.double_base.point.coords, acc)
-    return curve_point(g.curve, acc)
+    return _normal_point(g.curve, acc)
 
 
 def three_torsion(g: BasedGroup):

@@ -24,17 +24,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cubic import MONOMIALS, CubicForm, _float_form, transform
+from .cubic import _ROOTS, MONOMIALS, CubicForm, _float_form, _substitute
 from .errors import ConvergenceFailure, InvalidInput, SingularParameter
-from .projective import ProjMap, ProjPoint, _flat_proportional
+from .projective import ProjMap, ProjPoint, _adjugate, _det3, _flat_proportional
 from .scalars import (
     COINCIDENCE, LEADING_DROP, PENCIL_RESIDUAL, REDUCTION_DUST, ROUNDING, TOLERANCE,
     all_exact, collapse, has_nan, is_exact, negligible, poly_roots,
 )
 
-_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
-#: the cube roots of unity omega^0, omega^1, omega^2, the first exact
-_ROOTS = (1, _OMEGA, _OMEGA.conjugate())
+_OMEGA = _ROOTS[1]
 
 
 def _is_infinite(k) -> bool:
@@ -290,53 +288,50 @@ def _cube_root(c):
     return c ** (1.0 / 3.0)
 
 
-def _triangle_map(form: CubicForm, sides):
-    """(A, transform(form, A)) for the map A sending the sides of a
-    triangle of the pencil of form to x, y, z, its rows scaled by cube
-    roots of the x^3, y^3, z^3 coefficients of the image.
-
-    In the coordinates of the sides the form is a x^3 + b y^3 + c z^3 +
-    d xyz, which the scaling makes a member of the Hesse pencil.  The
-    coefficient c is the form at a vertex, which a smooth curve never
-    passes through: measured over all four triangles, |c| relative to the
-    largest coefficient is at least 2.9e-6 on 4200 curves of the bench's
-    reduce and exact workloads.
-    """
-    g = transform(form, ProjMap(sides))
-    s = [_cube_root(g.coeff(*m)) for m in ((3, 0, 0), (0, 3, 0), (0, 0, 3))]
-    a = ProjMap(tuple(tuple(v * t for t in row) for v, row in zip(s, sides)))
-    image = tuple(c / (s[0] ** i * s[1] ** j * s[2] ** k) for (i, j, k), c in zip(MONOMIALS, g.coeffs))
-    return a, CubicForm(image)
-
-
 def _into_pencil(form: CubicForm, triangles):
-    """(k, A) for the triangle whose image is nearest the pencil, k read
-    from that image by _pencil_parameter and without dust; ConvergenceFailure
-    when the image is further than PENCIL_RESIDUAL from the pencil.
+    """(k, A) for the first triangle, in the pencil's order, whose image is
+    within PENCIL_RESIDUAL of the pencil, k read from that image by
+    _pencil_parameter and without dust; ConvergenceFailure when no image
+    is (an image that holds a NaN never is).
+
+    A triangle's map A sends its sides to x, y, z, its rows scaled by cube
+    roots of the x^3, y^3, z^3 coefficients of the image.  In the
+    coordinates of the sides the form is a x^3 + b y^3 + c z^3 + d xyz,
+    which the scaling makes a member of the Hesse pencil.  The coefficient
+    c is the form at a vertex, which a smooth curve never passes through:
+    measured over all four triangles, |c| relative to the largest
+    coefficient is at least 2.9e-6 on 4200 curves of the bench's reduce and
+    exact workloads.  Images are scored on their coefficients, and only the
+    chosen triangle becomes a ProjMap.
 
     When every coefficient is real, only the triangle with three real sides
     is taken.  A smooth real cubic has exactly one; its map is real, and so
     is the member it reaches, the curve's own real k: the one real member
     of the pencil real-projectively equivalent to the curve.  The sides are
-    floats, so an exact form turns into floats once (cubic._float_form),
-    whatever the height of its coefficients.
+    floats, so a form with an exact coefficient turns into floats once
+    (cubic._float_form), whatever the height of its coefficients.
     """
-    form = _float_form(form)
-    if all(complex(c).imag == 0 for c in form.coeffs):
+    coeffs = _float_form(form).coeffs
+    if all(c.imag == 0 for c in coeffs):
         triangles = [s for s in triangles if all(isinstance(v, float) for r in s for v in r)][:1]
-    maps = [_triangle_map(form, s) for s in triangles]
-    if not maps:
+    if not triangles:
         raise ConvergenceFailure("no triangle of the pencil gives a map")
-    a, k, dev = min(((a,) + _pencil_parameter(image) for a, image in maps), key=lambda m: m[2])
-    if dev > PENCIL_RESIDUAL:
-        raise ConvergenceFailure(f"reduction into the pencil left residual {dev:.2e}")
-    return _without_dust(k), a
+    devs = []
+    for sides in triangles:
+        d = _det3(sides)
+        g = _substitute(coeffs, [[v / d for v in r] for r in _adjugate(sides)])
+        s = [_cube_root(g[i]) for i in (0, 6, 9)]
+        image = [c / (s[0] ** i * s[1] ** j * s[2] ** k) for (i, j, k), c in zip(MONOMIALS, g)]
+        k, dev = _pencil_parameter(image)
+        if dev <= PENCIL_RESIDUAL and not has_nan(image):
+            return _without_dust(k), ProjMap(tuple(tuple(v * t for t in row) for v, row in zip(s, sides)))
+        devs.append(f"{dev:.2e}")
+    raise ConvergenceFailure(f"reduction into the pencil left residual {', '.join(devs)}")
 
 
-def _pencil_parameter(form: CubicForm):
-    """(k, residual) reading a normalized form as a member of the pencil."""
-    cs = [complex(c) for c in form.normalized().coeffs]
-    top = max(abs(c) for c in cs)
+def _pencil_parameter(cs):
+    """(k, residual) reading the coefficients cs as a member of the pencil."""
+    top = max(map(abs, cs))
     cube = (cs[0] + cs[6] + cs[9]) / 3.0
     dev = max(
         abs(cs[1]), abs(cs[2]), abs(cs[3]), abs(cs[5]), abs(cs[7]), abs(cs[8]),
@@ -363,13 +358,14 @@ def to_hesse(form: CubicForm, canonical: bool = False):
     up to scale.
 
     Each triangle of the pencil spanned by the form and its Hessian gives
-    such an A (see _triangle_map).  When every coefficient is real, the one
+    such an A (see _into_pencil).  When every coefficient is real, the one
     triangle with three real sides gives a real A and the curve's own real
     k != 1, the one real member real-projectively equivalent to it; two real
     curves get the same k exactly when a real map carries one onto the
-    other.  Otherwise the triangle whose image is closest to a member of the
-    pencil wins.  The sides pass through flexes polished on the form itself
-    (see cubic._polish_flexes), so one pass is enough.
+    other.  Otherwise the first triangle, best conditioned first, whose
+    image is within PENCIL_RESIDUAL of a member of the pencil is taken.  The
+    sides pass through flexes polished on the form itself (see
+    cubic._polish_flexes), so one pass is enough.
 
     With canonical=True, k is moved to the normal form of its complex
     orbit, the tetrahedral image with the smallest |k| (moduli within 1e-9

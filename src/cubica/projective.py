@@ -25,30 +25,36 @@ from .scalars import (
 def _normalize(coords):
     """Projective normal form of a coordinate vector of any length (a
     point, a line, a cubic form)."""
-    if all(c == 0 for c in coords):
-        raise InvalidInput("projective coordinates cannot all vanish")
     if all_exact(coords):
         ints, _ = _integral(coords)
         g = math.gcd(*ints)
+        if g == 0:
+            raise InvalidInput("projective coordinates cannot all vanish")
         ints = [v // g for v in ints]
         lead = next(v for v in ints if v != 0)
         if lead < 0:
             ints = [-v for v in ints]
         return tuple(ints)
-    cs = [complex(c) for c in coords]
-    mags = [abs(c) for c in cs]
-    cut = (1 - PIVOT_TIE) * max(mags)
+    mags = [abs(c) for c in coords]
+    top = max(mags)
+    if top == 0:
+        raise InvalidInput("projective coordinates cannot all vanish")
+    cut = (1 - PIVOT_TIE) * top
     pivot = next(i for i, m in enumerate(mags) if m >= cut)
-    div = cs[pivot]
-    out = []
-    for i, c in enumerate(cs):
-        if i == pivot:
-            out.append(1.0 + 0.0j)
-        else:
-            out.append(c / div)
-    # collapse to real floats when the imaginary parts are exactly zero
-    if all(v.imag == 0 for v in out):
-        return tuple(v.real for v in out)
+    if any(isinstance(c, complex) for c in coords):
+        div = complex(coords[pivot])
+        out = [complex(c) / div for c in coords]
+        out[pivot] = 1.0 + 0.0j
+        # collapse to real floats when the imaginary parts are exactly zero
+        if all(v.imag == 0 for v in out):
+            return tuple(v.real for v in out)
+        return tuple(out)
+    # real entries divide as floats; adding a zero of the pivot's sign
+    # gives the zeros the signs a complex division gives them
+    div = float(coords[pivot])
+    zero = math.copysign(0.0, div)
+    out = [(float(c) + zero) / div for c in coords]
+    out[pivot] = 1.0
     return tuple(out)
 
 
@@ -239,13 +245,10 @@ class ProjMap:
                 raise SingularMap("determinant vanishes")
         else:
             # scale rows to unit max-norm before the determinant cutoff
-            scaled = []
-            for r in rows:
-                m = max(abs(v) for v in r)
-                if m == 0.0:
-                    raise SingularMap("zero row")
-                scaled.append(tuple(complex(v) / m for v in r))
-            if negligible(_det3(scaled), 1, COINCIDENCE):
+            tops = [max(map(abs, r)) for r in rows]
+            if 0 in tops:
+                raise SingularMap("zero row")
+            if negligible(_det3([[v / m for v in r] for r, m in zip(rows, tops)]), 1, COINCIDENCE):
                 raise SingularMap("determinant below cutoff")
 
     @classmethod

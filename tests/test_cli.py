@@ -128,6 +128,17 @@ def test_hesse_orbit_product(capsys):
     assert abs(float(lines[-1].split("=")[1]) - 512.0 / 343.0) < 1e-8
 
 
+@pytest.mark.parametrize("k", ["inf", "1"])
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_hesse_orbit_refuses_a_singular_parameter(capsys, k, fmt):
+    # the orbit of a singular member holds infinity: no orbit and no
+    # product, only the domain error hesse-j gives
+    code = main(["hesse-orbit", "--k", k, *fmt])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "singular" in err and "nan" not in err.lower()
+
+
 def test_chi(capsys):
     code, out = run(capsys, "chi", "--a", "-1", "--b", "0")
     assert code == 0

@@ -39,8 +39,9 @@ from cubica.errors import (
 )
 from cubica.group_law import flex_based_group, three_torsion
 from cubica.hesse import hesse_form, j_of_k, to_hesse
-from cubica.projective import ProjMap, ProjPoint, proj_distance
+from cubica.projective import ProjMap, ProjPoint, _flat_proportional, proj_distance
 from cubica.real_curves import classify_real, real_automorphisms, real_flexes
+from cubica.scalars import poly_roots
 from cubica.standard import StandardCurve
 
 # coefficient order: x^3, x^2 y, x^2 z, x y^2, x y z, x z^2, y^3, y^2 z, y z^2, z^3
@@ -717,6 +718,40 @@ def test_float_form_with_exact_coefficients_past_the_float_range():
     flexes, want = find_flexes(mixed), find_flexes(plain)
     assert len(flexes) == 9
     assert all(proj_distance(p, q) <= 1e-12 for p, q in zip(flexes, want))
+
+
+def test_float_form_with_exact_coefficients_past_the_float_range_reduces():
+    # the same mixed form reaches the pencil as the float Fermat cubic: k = 0
+    big = 10 ** 400
+    mixed = CubicForm((big, 0, 0, 0, 0.5, 0, big, 0, 0, big))
+    plain = CubicForm((1.0, 0, 0, 0, 0.0, 0, 1.0, 0, 0, 1.0))
+    k, a = to_hesse(mixed)
+    assert k == 0 and _flat_proportional(transform(plain, a).coeffs, hesse_form(k).coeffs)
+    assert classify_real(mixed) == classify_real(plain)
+
+
+def _triangle_invariants():
+    """(sigma, tau) pairs: seeded complex ones, sigma = 0 (J = 0), tau = 0
+    (J = 1), and real ones with 4 sigma^3 within 2e-4 of 3 tau^2."""
+    rng = np.random.default_rng(28)
+    pairs = [(0j, 1 + 0j), (0j, complex(-0.3, 2.0)), (1 + 0j, 0j), (complex(-2.0, 0.5), 0j)]
+    pairs += [tuple(complex(*rng.normal(size=2)) for _ in range(2)) for _ in range(40)]
+    for sigma in rng.uniform(0.2, 3.0, size=10):
+        tau = math.sqrt(4 * sigma ** 3 / 3) * (1 + rng.choice((-1e-4, 1e-4)))
+        pairs.append((complex(sigma), complex(tau)))
+    return pairs
+
+
+@pytest.mark.parametrize("sigma, tau", _triangle_invariants())
+def test_triangle_parameters_match_the_companion_matrix_roots(sigma, tau):
+    got = cubic._triangle_parameters(sigma, tau)
+    want = poly_roots((1, 0, -2 * sigma, -4 * tau / 3, -sigma ** 2 / 3))
+    assert len(got) == len(want) == 4
+    scale = max(map(abs, want))
+    for u in got:
+        # each root matched to its nearest, once
+        i = min(range(len(want)), key=lambda i: abs(want[i] - u))
+        assert abs(want.pop(i) - u) <= 1e-12 * scale
 
 
 def test_restrict_to_line_degree():

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from cubica import hesse
 from cubica.cubic import CubicForm, find_flexes, transform
-from cubica.errors import InvalidInput, SingularParameter
+from cubica.errors import ConvergenceFailure, InvalidInput, SingularParameter
 from cubica.hesse import (
     _TETRAHEDRAL_PAIRS,
     eta,
@@ -319,3 +320,12 @@ def test_flexes_match_exceptional_points():
             assert min(dist) < 1e-9
             images.pop(dist.index(min(dist)))
         to_standard(moved, flexes[0])
+
+
+def test_a_nan_image_is_a_convergence_failure():
+    # a triangle whose image holds a NaN is never taken; with no other
+    # triangle the reduction fails
+    nan = math.nan
+    sides = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, nan))
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        hesse._into_pencil(hesse_form(2.0 + 1j), [sides])

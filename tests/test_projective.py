@@ -1,15 +1,19 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubica.errors import CoincidentPoints, InvalidInput, SingularMap
 from cubica.hesse import MobiusMap
+from cubica.scalars import PIVOT_TIE
 from cubica.projective import (
     ProjLine,
     ProjMap,
     ProjPoint,
+    _normalize,
     line_through,
     map_four_points,
     meet,
@@ -165,3 +169,61 @@ def test_normal_form_pivot_is_first_of_tied_coordinates():
         n = ProjPoint(0.0, 1.0, z).normalized()
         assert n.coords[1] == 1 and n.normalized().coords == n.coords
     assert ProjPoint(0.0, 1.0, 1.0 + 1e-9).normalized().coords[2] == 1
+
+
+def _reference_normalize(coords):
+    """The floating normal form as it was computed before its real entries
+    divided as floats: every entry converted to complex first, kept as the
+    reference of the lean one."""
+    cs = [complex(c) for c in coords]
+    mags = [abs(c) for c in cs]
+    cut = (1 - PIVOT_TIE) * max(mags)
+    pivot = next(i for i, m in enumerate(mags) if m >= cut)
+    div = cs[pivot]
+    out = [1.0 + 0.0j if i == pivot else c / div for i, c in enumerate(cs)]
+    if all(v.imag == 0 for v in out):
+        return tuple(v.real for v in out)
+    return tuple(out)
+
+
+def _bits(values):
+    """Each value as its type and the bits of its real and imaginary parts,
+    so that -0.0 and 0.0 differ."""
+    return [(type(v), np.float64(v.real).tobytes(), np.float64(v.imag).tobytes()) for v in values]
+
+
+def _normalize_cases():
+    rng = random.Random(28)
+    zeros = (0.0, -0.0, 0, complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0))
+    cases = []
+    for n in (3, 10):
+        for _ in range(150):
+            def entry():
+                kind = rng.randrange(6)
+                x = rng.uniform(-2.0, 2.0)
+                if kind == 0:
+                    return rng.choice(zeros)
+                if kind == 1:
+                    return complex(x, 0.0)  # complex with a zero imaginary part
+                if kind == 2:
+                    return complex(x, rng.uniform(-2.0, 2.0))
+                if kind == 3:
+                    return rng.choice((np.float64(x), np.complex128(complex(x, x / 3))))
+                return x
+
+            v = [entry() for _ in range(n)]
+            top = max(abs(complex(c)) for c in v)
+            if top:
+                # a second coordinate tying with the largest at PIVOT_TIE,
+                # just inside and just outside the tie, of either sign
+                i = rng.randrange(n)
+                v[i] = rng.choice((1, -1)) * top * (1 - PIVOT_TIE * rng.choice((0.5, 1.0, 1.5)))
+                cases.append(tuple(v))
+    cases += [(-0.0, 2.0, -3.0), (0.0, -0.0, -1.0), (-1.0, 1.0, -0.0), (1.0, 1.0 - 1e-12, -0.0),
+              (np.float64(-0.0), np.float64(2.0), 1.0), (np.complex128(-2.0), -0.0, 1j), (1, 2.5, 0)]
+    return cases
+
+
+def test_normalize_matches_its_reference_bit_for_bit():
+    for coords in _normalize_cases():
+        assert _bits(_normalize(coords)) == _bits(_reference_normalize(coords)), coords
